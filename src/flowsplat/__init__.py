@@ -3,14 +3,8 @@
 The package is organized as a numpy/scipy library:
 
   geometry        SE(3) algebra and the pinhole projection pair
-  map_state       keyframe buffer, frame graph and snapshots
-  providers       pluggable correspondence/depth/feature providers + synthetic scenes
-  dba             dense bundle adjustment (weighted, calibrating, prior-regularized)
-  loop_detect     place-feature database and loop candidate search
-  splat           differentiable 3D Gaussian splatting (forward, backward, losses)
-  density_control densification and pruning strategies
-  pipeline        frontend/backend/renderer/loop workers and orchestration
-  evalio          metrics, TUM dataset ingestion and export formats
+  providers       correspondence/depth/feature providers + synthetic scenes
+  errors          exception types shared across the package
 """
 
 from .geometry import (PinholeIntrinsics, SE3Pose, heuristic_intrinsics, project,

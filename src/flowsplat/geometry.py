@@ -77,7 +77,11 @@ class SE3Pose:
     trans: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "quat", quat_normalize(np.asarray(self.quat, dtype=np.float64)))
+        q = np.asarray(self.quat, dtype=np.float64)
+        n = np.linalg.norm(q)
+        if not 0.0 < n < np.inf:
+            raise ValueError(f"quaternion must be finite and nonzero, got {q}")
+        object.__setattr__(self, "quat", q / n)
         object.__setattr__(self, "trans", np.asarray(self.trans, dtype=np.float64).copy())
 
     @staticmethod
@@ -112,16 +116,6 @@ class SE3Pose:
         return SE3Pose(quat_from_matrix(T[:3, :3]), T[:3, 3])
 
 
-def so3_exp(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    W = skew(w)
-    if theta < 1e-8:
-        return np.eye(3) + W + 0.5 * (W @ W)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * W + b * (W @ W)
-
-
 def _so3_left_jacobian(w: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(w)
     W = skew(w)
@@ -146,34 +140,18 @@ def se3_exp(tangent: np.ndarray) -> SE3Pose:
     """Exponential map from a (v, w) 6-vector, used as the BA retraction."""
     tangent = np.asarray(tangent, dtype=np.float64)
     v, w = tangent[:3], tangent[3:]
-    R = so3_exp(w)
-    t = _so3_left_jacobian(w) @ v
-    return SE3Pose(quat_from_matrix(R), t)
-
-
-def so3_log(R: np.ndarray) -> np.ndarray:
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    if theta < 1e-8:
-        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2.0
-    if np.pi - theta < 1e-6:
-        # near 180 deg: axis from the dominant diagonal of (R + I) / 2
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(A), 0.0))
-        k = int(np.argmax(axis))
-        axis = A[:, k] / max(axis[k], 1e-12)
-        axis = axis / np.linalg.norm(axis)
-        # fix sign via the skew part
-        s = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-        if np.dot(s, axis) < 0:
-            axis = -axis
-        return theta * axis
-    return theta / (2.0 * np.sin(theta)) * np.array(
-        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    half = 0.5 * np.linalg.norm(w)
+    # np.sinc(x) = sin(pi x) / (pi x), so the vector part is sin(theta/2) * w / theta
+    q = np.concatenate([[np.cos(half)], 0.5 * np.sinc(half / np.pi) * w])
+    return SE3Pose(q, _so3_left_jacobian(w) @ v)
 
 
 def se3_log(pose: SE3Pose) -> np.ndarray:
-    w = so3_log(pose.rotation)
+    """Logarithm as a (v, w) 6-vector with |w| in [0, pi], taken from the quaternion."""
+    q = pose.quat if pose.quat[0] >= 0 else -pose.quat
+    n = np.linalg.norm(q[1:])
+    # theta = 2 atan2(n, q_w) is well conditioned up to pi; 2 / q_w is its n -> 0 limit
+    w = (2.0 * np.arctan2(n, q[0]) / n if n > 1e-12 else 2.0 / q[0]) * q[1:]
     v = _so3_left_jacobian_inv(w) @ pose.trans
     return np.concatenate([v, w])
 

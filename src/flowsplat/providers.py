@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+# project is not called here; perfbench/spans.py wraps it in this module by name
 from .geometry import PinholeIntrinsics, SE3Pose, pixel_grid, project, reproject
 
 DSPT_MAGIC = b"DSPT"
@@ -42,9 +43,10 @@ class CorrespondenceUpdate:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.target)):
-            raise ValueError(f"non-finite correspondence target on edge {self.edge}")
-        if self.weight.min() < 0.0 or self.weight.max() > 1.0:
-            raise ValueError(f"correspondence weights outside [0, 1] on edge {self.edge}")
+            raise DataError(f"non-finite correspondence target on edge {self.edge}")
+        # written so that NaN weights fail too
+        if not (self.weight.min() >= 0.0 and self.weight.max() <= 1.0):
+            raise DataError(f"correspondence weights outside [0, 1] on edge {self.edge}")
 
 
 @dataclass
@@ -54,8 +56,8 @@ class PlaceFeature:
 
     def __post_init__(self):
         n = np.linalg.norm(self.vector)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"place feature for frame {self.frame} not unit norm ({n})")
+        if not abs(n - 1.0) <= 1e-9:
+            raise DataError(f"place feature for frame {self.frame} not unit norm ({n})")
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +90,6 @@ class SceneSpec:
             raise ConfigError(f"unknown trajectory type '{self.trajectory}'")
         if self.height < 8 or self.width < 8:
             raise ConfigError("scene resolution must be at least 8x8")
-
-
-def parse_scene_spec(text: str) -> SceneSpec:
-    """Parse compact specs like 'orbit200' or 'line50' into a SceneSpec."""
-    name = text.strip().lower()
-    for traj in ("orbit", "line", "rotate"):
-        if name.startswith(traj):
-            rest = name[len(traj):]
-            frames = int(rest) if rest else 100
-            return SceneSpec(trajectory=traj, frames=frames)
-    raise ConfigError(f"cannot parse synthetic scene spec '{text}'")
 
 
 OUTER_RADIUS = 6.0
@@ -150,7 +141,6 @@ class SyntheticScene:
         self._feature_mix = np.random.default_rng(
             np.random.SeedSequence([spec.seed, 777])).normal(size=(FEATURE_DIM, 6))
         self._depth_cache: dict[int, np.ndarray] = {}
-        self._image_cache: dict[int, np.ndarray] = {}
 
     # -- trajectory ---------------------------------------------------------
 
@@ -257,12 +247,10 @@ class SyntheticScene:
 
     def image(self, k: int) -> np.ndarray:
         """(H, W, 3) color image in [0, 1] for frame k."""
-        if k not in self._image_cache:
-            origin, dirs = self._camera_rays(k)
-            s, obj = self._cast(origin, dirs)
-            pts = origin + s[..., None] * dirs
-            self._image_cache[k] = self._surface_color(pts, obj)
-        return self._image_cache[k]
+        origin, dirs = self._camera_rays(k)
+        s, obj = self._cast(origin, dirs)
+        pts = origin + s[..., None] * dirs
+        return self._surface_color(pts, obj)
 
     def world_points(self, k: int) -> np.ndarray:
         """(H, W, 3) world-space surface point seen by each pixel of frame k."""
@@ -270,14 +258,14 @@ class SyntheticScene:
         return origin + self.depth(k)[..., None] * dirs
 
     def visible_from(self, k: int, pts: np.ndarray) -> np.ndarray:
-        """True where world points are unoccluded and in view of camera k."""
+        """True where no surface lies between camera k's center and the world point.
+
+        Only occlusion is tested: whether the point is in camera k's view is
+        left to the caller (see `reproject`'s valid mask).
+        """
         origin = self.camera_center(k)
-        dirs = pts - origin
-        s, _ = self._cast(origin, dirs)
-        unoccluded = s > 1.0 - 1e-6
-        cam_pts = self._poses_w2c[k].apply(pts)
-        _, in_view = project(cam_pts, self.intrinsics)
-        return unoccluded & in_view
+        s, _ = self._cast(origin, pts - origin)
+        return s > 1.0 - 1e-6
 
     # -- prior corruption ---------------------------------------------------
 
@@ -293,12 +281,6 @@ class SyntheticScene:
     def prior_affine(self, k: int) -> tuple[float, float]:
         """Ground-truth per-frame corruption (a_t, b_t) of the depth prior."""
         return self._prior_affine[k]
-
-
-def generate_scene(spec: SceneSpec | str) -> SyntheticScene:
-    if isinstance(spec, str):
-        spec = parse_scene_spec(spec)
-    return SyntheticScene(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +308,8 @@ class SyntheticProviders:
         scene = self.scene
         rel = scene.pose_w2c(j).compose(scene.pose_c2w(i))
         target, valid = reproject(scene.disparity(i), rel, scene.intrinsics)
-        pts = scene.world_points(i)
-        vis = scene.visible_from(j, pts.reshape(-1, 3)).reshape(valid.shape)
-        weight = np.where((valid & vis)[..., None], 1.0, 0.0) * np.ones((1, 1, 2))
+        seen = valid & scene.visible_from(j, scene.world_points(i))
+        weight = np.repeat(seen[..., None], 2, axis=-1).astype(np.float64)
         sigma = scene.spec.pixel_noise
         if sigma > 0:
             rng = np.random.default_rng(np.random.SeedSequence([scene.spec.seed, 31, i, j]))
@@ -374,11 +355,6 @@ def write_dspt(path: str | Path, array: np.ndarray) -> None:
     h, w, c = array.shape
     with open(path, "wb") as fh:
         fh.write(DSPT_MAGIC)
-        fh.write(struct.pack("<III I", DSPT_VERSION, h, w, c)[:16])
-        fh.write(struct.pack("<IIII", DSPT_VERSION, h, w, c))
-    # rewrite cleanly: header is magic + 4 u32 fields
-    with open(path, "wb") as fh:
-        fh.write(DSPT_MAGIC)
         fh.write(struct.pack("<IIII", DSPT_VERSION, h, w, c))
         fh.write(array.astype("<f4").tobytes(order="C"))
 
@@ -391,6 +367,8 @@ def read_dspt(path: str | Path) -> np.ndarray:
     version, h, w, c = struct.unpack("<IIII", raw[4:20])
     if version != DSPT_VERSION:
         raise DataError(f"{path}: unsupported DSPT version {version}")
+    if 0 in (h, w, c):
+        raise DataError(f"{path}: empty DSPT tensor ({h}x{w}x{c})")
     expect = 20 + h * w * c * 4
     if len(raw) != expect:
         raise DataError(f"{path}: truncated DSPT payload ({len(raw)} vs {expect} bytes)")
@@ -421,6 +399,8 @@ class PrecomputedProviders:
 
     def provide_depth_prior(self, k: int) -> np.ndarray:
         data = self._load(f"prior_{k:06d}.dspt")
+        if data.shape[2] != 1 or not np.all(np.isfinite(data)):
+            raise DataError(f"prior tensor for frame {k} must be one channel of finite values")
         return np.maximum(data[..., 0], 1e-6)
 
     def provide_place_feature(self, k: int) -> PlaceFeature:

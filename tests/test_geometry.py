@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.transform import Rotation
 
 from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, pixel_grid, project,
                                 reproject, rotation_angle_between, se3_exp,
@@ -60,6 +61,22 @@ class TestSE3:
         for _ in range(200):
             g = g.compose(random_pose(RNG, rot_scale=0.3))
             assert abs(np.linalg.norm(g.quat) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("quat", [np.zeros(4), [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]])
+    def test_rejects_zero_or_non_finite_quaternion(self, quat):
+        with pytest.raises(ValueError):
+            SE3Pose(np.asarray(quat), np.zeros(3))
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-9])
+    def test_log_near_pi_matches_scipy_rotvec(self, gap):
+        # independent oracle: scipy's rotation matrix for w, read back via from_matrix
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            axis = rng.normal(size=3)
+            w = (np.pi - gap) * axis / np.linalg.norm(axis)
+            T = np.eye(4)
+            T[:3, :3] = Rotation.from_rotvec(w).as_matrix()
+            assert np.abs(se3_log(SE3Pose.from_matrix(T))[3:] - w).max() < 1e-12
 
     def test_apply_matches_matrix(self):
         g = random_pose(RNG)
