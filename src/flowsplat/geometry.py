@@ -18,7 +18,11 @@ Z_MIN = 1e-4  # points closer than this to the image plane are flagged invalid
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q)
+    q = np.asarray(q, dtype=np.float64)
+    n = np.linalg.norm(q)
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"quaternion must be finite and nonzero, got {q}")
+    return q / n
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,11 +81,7 @@ class SE3Pose:
     trans: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.quat, dtype=np.float64)
-        n = np.linalg.norm(q)
-        if not 0.0 < n < np.inf:
-            raise ValueError(f"quaternion must be finite and nonzero, got {q}")
-        object.__setattr__(self, "quat", q / n)
+        object.__setattr__(self, "quat", quat_normalize(self.quat))
         object.__setattr__(self, "trans", np.asarray(self.trans, dtype=np.float64).copy())
 
     @staticmethod
@@ -164,8 +164,8 @@ def se3_interpolate(a: SE3Pose, b: SE3Pose, tau: float) -> SE3Pose:
 
 def rotation_angle_between(a: SE3Pose | np.ndarray, b: SE3Pose | np.ndarray) -> float:
     """Geodesic rotation distance in degrees, in [0, 180]."""
-    qa = a.quat if isinstance(a, SE3Pose) else quat_normalize(np.asarray(a, dtype=np.float64))
-    qb = b.quat if isinstance(b, SE3Pose) else quat_normalize(np.asarray(b, dtype=np.float64))
+    qa = a.quat if isinstance(a, SE3Pose) else quat_normalize(a)
+    qb = b.quat if isinstance(b, SE3Pose) else quat_normalize(b)
     d = np.clip(abs(float(np.dot(qa, qb))), 0.0, 1.0)
     return float(np.degrees(2.0 * np.arccos(d)))
 
@@ -210,17 +210,22 @@ def pixel_grid(intr: PinholeIntrinsics) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def project(points: np.ndarray, intr: PinholeIntrinsics, z_min: float = Z_MIN):
-    """Pinhole projection of (..., 3) camera-frame points.
+def ray_grid(intr: PinholeIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Separable normalized rays of the pixel centers: xn (W,) and yn (H, 1).
 
-    Returns (pixels (..., 2), valid (...,)). Points behind the z_min plane or
-    landing outside the image bounds are flagged invalid, never raised on.
+    Pixel (u, v) at depth Z is the camera-frame point (xn[u] Z, yn[v] Z, Z);
+    the two factors broadcast to (H, W) without building a pixel grid.
     """
-    points = np.asarray(points, dtype=np.float64)
-    z = points[..., 2]
+    xn = (np.arange(intr.width, dtype=np.float64) - intr.cx) / intr.fx
+    yn = ((np.arange(intr.height, dtype=np.float64) - intr.cy) / intr.fy)[:, None]
+    return xn, yn
+
+
+def _project_components(x, y, z, intr: PinholeIntrinsics, z_min: float):
+    """Pinhole projection of camera-frame coordinates given as three arrays."""
     safe_z = np.where(np.abs(z) > 1e-300, z, 1e-300)
-    u = intr.fx * points[..., 0] / safe_z + intr.cx
-    v = intr.fy * points[..., 1] / safe_z + intr.cy
+    u = intr.fx * x / safe_z + intr.cx
+    v = intr.fy * y / safe_z + intr.cy
     pixels = np.stack([u, v], axis=-1)
     eps = 1e-9  # guards exact-boundary pixels against roundoff
     valid = ((z > z_min) & (u >= -eps) & (u <= intr.width + eps)
@@ -228,16 +233,34 @@ def project(points: np.ndarray, intr: PinholeIntrinsics, z_min: float = Z_MIN):
     return pixels, valid
 
 
-def unproject(pixels: np.ndarray, disparity: np.ndarray, intr: PinholeIntrinsics) -> np.ndarray:
-    """Back-project (..., 2) pixels at the given disparity into the camera frame."""
+def project(points: np.ndarray, intr: PinholeIntrinsics, z_min: float = Z_MIN):
+    """Pinhole projection of (..., 3) camera-frame points.
+
+    Returns (pixels (..., 2), valid (...,)). Points behind the z_min plane or
+    landing outside the image bounds are flagged invalid, never raised on.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    return _project_components(points[..., 0], points[..., 1], points[..., 2], intr, z_min)
+
+
+def _rays_and_depth(pixels, disparity, intr: PinholeIntrinsics):
+    """Normalized ray components (xn, yn) of (..., 2) pixels and the depth 1 / disparity."""
     disparity = np.asarray(disparity, dtype=np.float64)
     if np.any(disparity <= 0):
         raise ValueError("unproject requires strictly positive disparity")
-    pixels = np.asarray(pixels, dtype=np.float64)
-    z = 1.0 / disparity
-    x = (pixels[..., 0] - intr.cx) / intr.fx * z
-    y = (pixels[..., 1] - intr.cy) / intr.fy * z
-    return np.stack([x, y, z], axis=-1)
+    if pixels is None:
+        xn, yn = ray_grid(intr)
+    else:
+        pixels = np.asarray(pixels, dtype=np.float64)
+        xn = (pixels[..., 0] - intr.cx) / intr.fx
+        yn = (pixels[..., 1] - intr.cy) / intr.fy
+    return xn, yn, 1.0 / disparity
+
+
+def unproject(pixels: np.ndarray, disparity: np.ndarray, intr: PinholeIntrinsics) -> np.ndarray:
+    """Back-project (..., 2) pixels at the given disparity into the camera frame."""
+    xn, yn, z = _rays_and_depth(pixels, disparity, intr)
+    return np.stack([xn * z, yn * z, z], axis=-1)
 
 
 def reproject(disparity: np.ndarray, relative: SE3Pose, intr: PinholeIntrinsics,
@@ -246,9 +269,12 @@ def reproject(disparity: np.ndarray, relative: SE3Pose, intr: PinholeIntrinsics,
 
     disparity is (H, W); relative maps source-camera coords into the target
     camera. Returns (correspondences (H, W, 2), valid mask (H, W)).
+
+    The transform is applied per component, X_r = (R[r,0] xn + R[r,1] yn + R[r,2]) Z + t[r],
+    so with the default pixel grid the bracket is a separable (W,) + (H, 1) sum
+    and no (H, W, 3) array is built.
     """
-    if pixels is None:
-        pixels = pixel_grid(intr)
-    pts = unproject(pixels, disparity, intr)
-    pts_j = relative.apply(pts)
-    return project(pts_j, intr)
+    xn, yn, z = _rays_and_depth(pixels, disparity, intr)
+    R, t = relative.rotation, relative.trans
+    X, Y, Z = ((R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z + t[r] for r in range(3))
+    return _project_components(X, Y, Z, intr, Z_MIN)

@@ -18,19 +18,22 @@ weight v), `prior_{k:06d}.dspt` (C=1: disparity), `feat_{k:06d}.dspt` (C=D).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Protocol
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 # project is not called here; perfbench/spans.py wraps it in this module by name
-from .geometry import PinholeIntrinsics, SE3Pose, pixel_grid, project, reproject
+from .geometry import PinholeIntrinsics, SE3Pose, project, ray_grid, reproject
 
 DSPT_MAGIC = b"DSPT"
 DSPT_VERSION = 1
 
 FEATURE_DIM = 64
+DEPTH_CACHE_FRAMES = 8  # SyntheticScene.depth keeps this many frames (0.6 MB each at 240x320)
 
 
 @dataclass
@@ -58,6 +61,19 @@ class PlaceFeature:
         n = np.linalg.norm(self.vector)
         if not abs(n - 1.0) <= 1e-9:
             raise DataError(f"place feature for frame {self.frame} not unit norm ({n})")
+
+
+class Providers(Protocol):
+    """The three provider roles; SyntheticProviders and PrecomputedProviders implement it."""
+
+    def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
+        """Dense targets and weights for edge i -> j."""
+
+    def provide_depth_prior(self, k: int) -> np.ndarray:
+        """(H, W) disparity prior for frame k."""
+
+    def provide_place_feature(self, k: int) -> PlaceFeature:
+        """Unit-norm place feature for frame k."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +156,7 @@ class SyntheticScene:
         self._prior_affine = self._draw_prior_affine()
         self._feature_mix = np.random.default_rng(
             np.random.SeedSequence([spec.seed, 777])).normal(size=(FEATURE_DIM, 6))
-        self._depth_cache: dict[int, np.ndarray] = {}
+        self._depth_cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
     # -- trajectory ---------------------------------------------------------
 
@@ -182,15 +198,20 @@ class SyntheticScene:
 
     # -- ray casting --------------------------------------------------------
 
-    def _cast(self, origin: np.ndarray, dirs: np.ndarray):
-        """Nearest intersection along origin + s * dirs.
+    def _cast(self, origin: np.ndarray, dirs):
+        """Nearest intersection along origin + s * (dx, dy, dz).
 
-        dirs may be unnormalized; the returned s is in units of dirs (so with
-        camera-frame dirs (xn, yn, 1) it is the pinhole depth Z directly).
-        Returns (s, object id) with id -1 for the outer sphere, else occluder index.
+        dirs is the tuple of direction components, equal-shaped arrays. They may
+        be unnormalized; the returned s is in units of dirs (so with camera-frame
+        dirs (xn, yn, 1) it is the pinhole depth Z directly). Dot products are
+        scalar x array sums over the components, and each occluder's root and
+        nearest-hit update are evaluated only on the pixels where its
+        discriminant is positive. Returns (s, object id), both shaped like the
+        components, with id -1 for the outer sphere, else occluder index.
         """
-        dd = np.einsum("...k,...k->...", dirs, dirs)
-        od = np.einsum("k,...k->...", origin, dirs)
+        dx, dy, dz = (np.ravel(d) for d in dirs)
+        dd = dx * dx + dy * dy + dz * dz
+        od = origin[0] * dx + origin[1] * dy + origin[2] * dz
         oo = float(origin @ origin)
         # outer sphere: we are inside, take the positive root
         disc = od**2 - dd * (oo - OUTER_RADIUS**2)
@@ -198,32 +219,41 @@ class SyntheticScene:
         obj = np.full(s_best.shape, -1, dtype=np.int64)
         for i, (c, r) in enumerate(zip(self.sphere_centers, self.sphere_radii)):
             oc = origin - c
-            ocd = np.einsum("k,...k->...", oc, dirs)
+            ocd = oc[0] * dx + oc[1] * dy + oc[2] * dz
             disc = ocd**2 - dd * (float(oc @ oc) - r * r)
-            hit = disc > 0
-            s_hit = (-ocd - np.sqrt(np.maximum(disc, 0.0))) / dd
-            closer = hit & (s_hit > 1e-9) & (s_hit < s_best)
-            s_best = np.where(closer, s_hit, s_best)
-            obj = np.where(closer, i, obj)
-        return s_best, obj
+            hit = np.flatnonzero(disc > 0)
+            s_hit = (-ocd[hit] - np.sqrt(disc[hit])) / dd[hit]
+            closer = (s_hit > 1e-9) & (s_hit < s_best[hit])
+            s_best[hit[closer]] = s_hit[closer]
+            obj[hit[closer]] = i
+        shape = np.shape(dirs[0])
+        return s_best.reshape(shape), obj.reshape(shape)
 
     def _camera_rays(self, k: int):
-        intr = self.intrinsics
-        grid = pixel_grid(intr)
-        xn = (grid[..., 0] - intr.cx) / intr.fx
-        yn = (grid[..., 1] - intr.cy) / intr.fy
-        dirs_cam = np.stack([xn, yn, np.ones_like(xn)], axis=-1)
-        R_c2w = self._poses_c2w[k].rotation
-        dirs_world = dirs_cam @ R_c2w.T
-        return self.camera_center(k), dirs_world
+        """Camera k's center and the world-frame components of its pixel rays.
+
+        The ray of pixel (u, v) is R_c2w @ (xn[u], yn[v], 1); each of its three
+        components is a separable (W,) + (H, 1) sum over `ray_grid`, shaped (H, W).
+        """
+        xn, yn = ray_grid(self.intrinsics)
+        R = self._poses_c2w[k].rotation
+        dirs = tuple(R[r, 0] * xn + R[r, 1] * yn + R[r, 2] for r in range(3))
+        return self.camera_center(k), dirs
 
     def depth(self, k: int) -> np.ndarray:
-        """Exact per-pixel pinhole depth Z for frame k."""
-        if k not in self._depth_cache:
+        """Exact per-pixel pinhole depth Z for frame k.
+
+        The last DEPTH_CACHE_FRAMES frames asked for are kept.
+        """
+        cache = self._depth_cache
+        if k in cache:
+            cache.move_to_end(k)
+        else:
             origin, dirs = self._camera_rays(k)
-            s, _ = self._cast(origin, dirs)
-            self._depth_cache[k] = s
-        return self._depth_cache[k]
+            cache[k] = self._cast(origin, dirs)[0]
+            if len(cache) > DEPTH_CACHE_FRAMES:
+                cache.popitem(last=False)
+        return cache[k]
 
     def disparity(self, k: int) -> np.ndarray:
         return 1.0 / self.depth(k)
@@ -249,13 +279,14 @@ class SyntheticScene:
         """(H, W, 3) color image in [0, 1] for frame k."""
         origin, dirs = self._camera_rays(k)
         s, obj = self._cast(origin, dirs)
-        pts = origin + s[..., None] * dirs
+        pts = np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
         return self._surface_color(pts, obj)
 
     def world_points(self, k: int) -> np.ndarray:
         """(H, W, 3) world-space surface point seen by each pixel of frame k."""
         origin, dirs = self._camera_rays(k)
-        return origin + self.depth(k)[..., None] * dirs
+        s = self.depth(k)
+        return np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
 
     def visible_from(self, k: int, pts: np.ndarray) -> np.ndarray:
         """True where no surface lies between camera k's center and the world point.
@@ -264,7 +295,7 @@ class SyntheticScene:
         left to the caller (see `reproject`'s valid mask).
         """
         origin = self.camera_center(k)
-        s, _ = self._cast(origin, pts - origin)
+        s, _ = self._cast(origin, tuple(pts[..., r] - origin[r] for r in range(3)))
         return s > 1.0 - 1e-6
 
     # -- prior corruption ---------------------------------------------------
@@ -373,7 +404,9 @@ def read_dspt(path: str | Path) -> np.ndarray:
     if len(raw) != expect:
         raise DataError(f"{path}: truncated DSPT payload ({len(raw)} vs {expect} bytes)")
     data = np.frombuffer(raw, dtype="<f4", offset=20).reshape(h, w, c)
-    return data.astype(np.float64)
+    # a signalling-NaN payload flags "invalid" in the cast; the callers' validators reject NaN
+    with np.errstate(invalid="ignore"):
+        return data.astype(np.float64)
 
 
 class PrecomputedProviders:
@@ -406,10 +439,13 @@ class PrecomputedProviders:
     def provide_place_feature(self, k: int) -> PlaceFeature:
         data = self._load(f"feat_{k:06d}.dspt")
         vec = data.reshape(-1)
-        return PlaceFeature(vec / np.linalg.norm(vec), k)
+        n = np.linalg.norm(vec)
+        if not 0.0 < n < np.inf:
+            raise DataError(f"place feature for frame {k} is zero or not finite (norm {n})")
+        return PlaceFeature(vec / n, k)
 
 
-def dump_providers(providers, directory: str | Path, frames: range | list,
+def dump_providers(providers: Providers, directory: str | Path, frames: range | list,
                    edges: list[tuple[int, int]]) -> None:
     """Write provider outputs as DSPT files usable by PrecomputedProviders."""
     directory = Path(directory)

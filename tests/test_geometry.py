@@ -100,6 +100,13 @@ class TestRotationAngle:
         g = random_pose(RNG)
         assert rotation_angle_between(g.quat, -g.quat) == pytest.approx(0.0, abs=1e-7)
 
+    @pytest.mark.parametrize("quat", [np.zeros(4), [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]])
+    def test_rejects_zero_or_non_finite_raw_quaternion(self, quat):
+        with pytest.raises(ValueError):
+            rotation_angle_between(np.asarray(quat), SE3Pose.identity())
+        with pytest.raises(ValueError):
+            rotation_angle_between(SE3Pose.identity().quat, np.asarray(quat))
+
     def test_symmetry_and_triangle_inequality(self):
         for _ in range(100):
             a, b, c = (random_pose(RNG) for _ in range(3))
@@ -193,6 +200,22 @@ class TestReproject:
                 assert ok[v, u] == inb
                 if inb:
                     assert np.allclose(corr[v, u], [uu, vv], atol=1e-9)
+
+
+    def test_equals_unproject_apply_project(self):
+        # non-square image, fx != fy and an off-center principal point, so a
+        # swapped row/column factor shows
+        intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
+        rng = np.random.default_rng(5)
+        disp = rng.uniform(0.3, 1.5, size=(30, 32))
+        g = random_pose(rng, rot_scale=0.2, trans_scale=0.5)
+        corr, ok = reproject(disp, g, intr)
+        ref, ref_ok = project(g.apply(unproject(pixel_grid(intr), disp, intr)), intr)
+        assert np.array_equal(ok, ref_ok)
+        assert 0 < ok.sum() < ok.size
+        assert np.allclose(corr, ref, rtol=1e-12, atol=1e-12)
+        corr_px, ok_px = reproject(disp, g, intr, pixels=pixel_grid(intr))
+        assert np.array_equal(corr_px, corr) and np.array_equal(ok_px, ok)
 
 
 def test_geodesic_interpolation_endpoint_and_midpoint():

@@ -1,6 +1,7 @@
 """Provider outputs checked against scalar oracles on the synthetic scene, and
 the validators and DSPT reader checked on malformed input."""
 
+import math
 import struct
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from flowsplat.errors import DataError
 from flowsplat.geometry import Z_MIN
-from flowsplat.providers import (DSPT_MAGIC, DSPT_VERSION, CorrespondenceUpdate, PlaceFeature,
-                                 PrecomputedProviders, SceneSpec, SyntheticProviders,
-                                 SyntheticScene, dump_providers, read_dspt, write_dspt)
+from flowsplat.providers import (DEPTH_CACHE_FRAMES, DSPT_MAGIC, DSPT_VERSION, OUTER_RADIUS,
+                                 CorrespondenceUpdate, PlaceFeature, PrecomputedProviders,
+                                 SceneSpec, SyntheticProviders, SyntheticScene, dump_providers,
+                                 read_dspt, write_dspt)
 
 H, W = 24, 32
 FRAMES = [3, 4, 5, 6]
@@ -49,6 +51,80 @@ def scalar_occluded(scene, j, point):
         if disc > 0 and 1e-9 < (-b - np.sqrt(disc)) / dd < 1.0 - 1e-6:
             return True
     return False
+
+
+def scalar_cast(scene, origin, d):
+    """Nearest hit along origin + s * d, one ray at a time from the closed-form roots.
+
+    Returns (s, object id): the outer sphere's far root with id -1, unless an
+    occluder's near root lies in (1e-9, s).
+    """
+    o, d = [float(x) for x in origin], [float(x) for x in d]
+
+    def roots(center, radius):
+        oc = [o[k] - center[k] for k in range(3)]
+        a = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        b = oc[0] * d[0] + oc[1] * d[1] + oc[2] * d[2]
+        disc = b * b - a * (oc[0] * oc[0] + oc[1] * oc[1] + oc[2] * oc[2] - radius * radius)
+        if disc <= 0:
+            return None
+        return (-b - math.sqrt(disc)) / a, (-b + math.sqrt(disc)) / a
+
+    s, obj = roots((0.0, 0.0, 0.0), OUTER_RADIUS)[1], -1
+    for i, (c, r) in enumerate(zip(scene.sphere_centers, scene.sphere_radii)):
+        hit = roots(c, r)
+        if hit is not None and 1e-9 < hit[0] < s:
+            s, obj = hit[0], i
+    return s, obj
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 20), origin=st.tuples(*[st.floats(-3.4, 3.4)] * 3),
+       dirs=st.lists(st.tuples(unit, unit, unit).filter(lambda d: math.hypot(*d) > 0.1),
+                     min_size=1, max_size=24))
+def test_cast_matches_scalar_ray_loop(seed, origin, dirs):
+    # origins lie inside the outer sphere (|o| <= 3.4 * sqrt(3) < 6), sometimes
+    # inside an occluder, whose near root is then behind the ray
+    scene = SyntheticScene(SceneSpec(frames=2, seed=seed, occluders=6))
+    origin, d = np.array(origin), np.array(dirs)
+    s, obj = scene._cast(origin, (d[:, 0], d[:, 1], d[:, 2]))
+    assert s.shape == obj.shape == (len(dirs),)
+    for n, ray in enumerate(d):
+        s_ref, obj_ref = scalar_cast(scene, origin, ray)
+        assert obj[n] == obj_ref
+        assert s[n] == pytest.approx(s_ref, rel=1e-12)
+
+
+def test_depth_matches_scalar_ray_loop(scene):
+    intr = scene.intrinsics
+    hits = 0
+    for k in FRAMES:
+        c2w = scene.pose_c2w(k).matrix()
+        depth = scene.depth(k)
+        for v in range(H):
+            for u in range(W):
+                ray = c2w[:3, :3] @ [(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0]
+                s_ref, obj_ref = scalar_cast(scene, c2w[:3, 3], ray)
+                assert depth[v, u] == pytest.approx(s_ref, rel=1e-12), (k, u, v)
+                hits += obj_ref >= 0
+    # both the outer sphere and the occluders are hit, so both roots are pinned
+    assert 0 < hits < len(FRAMES) * H * W
+
+
+def test_depth_cache_keeps_recent_frames_and_recomputes_evicted_ones_bit_identically():
+    scene = SyntheticScene(SceneSpec(frames=24, height=H, width=W, seed=0))
+    first = scene.depth(0).copy()
+    for k in range(20):
+        scene.depth(k)
+        assert len(scene._depth_cache) <= DEPTH_CACHE_FRAMES
+    assert list(scene._depth_cache) == list(range(20 - DEPTH_CACHE_FRAMES, 20))
+    scene.depth(12)  # least recently used becomes most recently used
+    scene.depth(20)
+    assert 12 in scene._depth_cache and 13 not in scene._depth_cache
+    assert np.array_equal(scene.depth(0), first)
 
 
 def test_targets_match_scalar_reprojection(scene):
@@ -153,7 +229,6 @@ def test_precomputed_rejects_nan_flow_weights(tmp_path):
         PrecomputedProviders(tmp_path).provide_correspondences(0, 1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_precomputed_rejects_all_zero_feature(tmp_path):
     write_dspt(tmp_path / "feat_000000.dspt", np.zeros((1, 1, 8)))
     with pytest.raises(DataError):
@@ -173,6 +248,16 @@ def test_read_dspt_rejects_empty_dimension(tmp_path, shape):
     write_dspt(tmp_path / "empty.dspt", np.zeros(shape))
     with pytest.raises(DataError):
         read_dspt(tmp_path / "empty.dspt")
+
+
+def test_read_dspt_casts_signalling_nan_to_nan(tmp_path):
+    path = tmp_path / "prior_000000.dspt"
+    path.write_bytes(DSPT_MAGIC + struct.pack("<IIII", DSPT_VERSION, 1, 2, 1)
+                     + struct.pack("<I", 0x7F800001) + struct.pack("<f", 1.0))
+    data = read_dspt(path)
+    assert np.isnan(data[0, 0, 0]) and data[0, 1, 0] == 1.0
+    with pytest.raises(DataError):
+        PrecomputedProviders(tmp_path).provide_depth_prior(0)
 
 
 @st.composite
