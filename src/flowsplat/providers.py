@@ -17,6 +17,7 @@ weight v), `prior_{k:06d}.dspt` (C=1: disparity), `feat_{k:06d}.dspt` (C=D).
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ DSPT_VERSION = 1
 
 FEATURE_DIM = 64
 DEPTH_CACHE_FRAMES = 8  # SyntheticScene.depth keeps this many frames (0.6 MB each at 240x320)
+CONE_MARGIN = 1e-6  # rad; the view-cone cull keeps occluders this close to the cone
 
 
 @dataclass
@@ -112,16 +114,22 @@ OUTER_RADIUS = 6.0
 ORBIT_RADIUS = 2.0
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b for two 3-sequences of floats, in np.cross's operation order."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def _look_at_c2w(center: np.ndarray, forward: np.ndarray) -> SE3Pose:
     f = forward / np.linalg.norm(forward)
-    r = np.cross(f, np.array([0.0, 0, 1.0]))
+    f_list = f.tolist()
+    r = np.array(_cross(f_list, (0.0, 0.0, 1.0)))
     if np.linalg.norm(r) < 1e-8:
-        r = np.cross(f, np.array([0.0, 1.0, 0]))
+        r = np.array(_cross(f_list, (0.0, 1.0, 0.0)))
     r = r / np.linalg.norm(r)
-    d = np.cross(f, r)
-    R_c2w = np.stack([r, d, f], axis=1)
     T = np.eye(4)
-    T[:3, :3] = R_c2w
+    T[:3, 0] = r
+    T[:3, 1] = _cross(f_list, r.tolist())
+    T[:3, 2] = f
     T[:3, 3] = center
     return SE3Pose.from_matrix(T)
 
@@ -198,7 +206,48 @@ class SyntheticScene:
 
     # -- ray casting --------------------------------------------------------
 
-    def _cast(self, origin: np.ndarray, dirs):
+    def _occluders_in_view(self, k: int) -> list[int]:
+        """Indices of the occluders that a ray of camera k's image can hit.
+
+        The image rectangle [0, W] x [0, H] lies in the circular cone about the
+        optical axis whose half-angle reaches its farthest corner. An occluder
+        is kept when the camera is inside or on it, or when its angular disc,
+        angle(c - o, axis) - asin(r / |c - o|), reaches that cone within
+        CONE_MARGIN; any other occluder has no root at s > 0 along such a ray.
+        """
+        intr = self.intrinsics
+        half_angle = math.atan(max(
+            math.hypot((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
+            for u in (0.0, intr.width) for v in (0.0, intr.height)))
+        o = self.camera_center(k).tolist()
+        axis = self._poses_c2w[k].rotation[:, 2].tolist()
+        keep = []
+        for i, (c, r) in enumerate(zip(self.sphere_centers.tolist(), self.sphere_radii.tolist())):
+            v = (c[0] - o[0], c[1] - o[1], c[2] - o[2])
+            dist = math.hypot(*v)
+            if dist <= r:
+                keep.append(i)
+                continue
+            along = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
+            angle = math.atan2(math.hypot(*_cross(v, axis)), along)
+            if angle - math.asin(r / dist) <= half_angle + CONE_MARGIN:
+                keep.append(i)
+        return keep
+
+    def _near_root(self, i: int, origin: np.ndarray, dx, dy, dz, dd):
+        """Occluder i's near root along origin + s * (dx, dy, dz), where it exists.
+
+        dx, dy, dz are flat direction components and dd their squared norm.
+        Returns (flat indices where the discriminant is positive, s there).
+        """
+        oc = origin - self.sphere_centers[i]
+        r = self.sphere_radii[i]
+        ocd = oc[0] * dx + oc[1] * dy + oc[2] * dz
+        disc = ocd**2 - dd * (float(oc @ oc) - r * r)
+        hit = np.flatnonzero(disc > 0)
+        return hit, (-ocd[hit] - np.sqrt(disc[hit])) / dd[hit]
+
+    def _cast(self, origin: np.ndarray, dirs, occluders=None):
         """Nearest intersection along origin + s * (dx, dy, dz).
 
         dirs is the tuple of direction components, equal-shaped arrays. They may
@@ -206,8 +255,10 @@ class SyntheticScene:
         dirs (xn, yn, 1) it is the pinhole depth Z directly). Dot products are
         scalar x array sums over the components, and each occluder's root and
         nearest-hit update are evaluated only on the pixels where its
-        discriminant is positive. Returns (s, object id), both shaped like the
-        components, with id -1 for the outer sphere, else occluder index.
+        discriminant is positive. occluders lists the occluder indices to test,
+        default all of them; a caller passes fewer only when the others provably
+        miss every ray. Returns (s, object id), both shaped like the components,
+        with id -1 for the outer sphere, else occluder index.
         """
         dx, dy, dz = (np.ravel(d) for d in dirs)
         dd = dx * dx + dy * dy + dz * dz
@@ -217,12 +268,10 @@ class SyntheticScene:
         disc = od**2 - dd * (oo - OUTER_RADIUS**2)
         s_best = (-od + np.sqrt(np.maximum(disc, 0.0))) / dd
         obj = np.full(s_best.shape, -1, dtype=np.int64)
-        for i, (c, r) in enumerate(zip(self.sphere_centers, self.sphere_radii)):
-            oc = origin - c
-            ocd = oc[0] * dx + oc[1] * dy + oc[2] * dz
-            disc = ocd**2 - dd * (float(oc @ oc) - r * r)
-            hit = np.flatnonzero(disc > 0)
-            s_hit = (-ocd[hit] - np.sqrt(disc[hit])) / dd[hit]
+        if occluders is None:
+            occluders = range(len(self.sphere_radii))
+        for i in occluders:
+            hit, s_hit = self._near_root(i, origin, dx, dy, dz, dd)
             closer = (s_hit > 1e-9) & (s_hit < s_best[hit])
             s_best[hit[closer]] = s_hit[closer]
             obj[hit[closer]] = i
@@ -241,7 +290,7 @@ class SyntheticScene:
         return self.camera_center(k), dirs
 
     def depth(self, k: int) -> np.ndarray:
-        """Exact per-pixel pinhole depth Z for frame k.
+        """Exact per-pixel pinhole depth Z for frame k, as a read-only array.
 
         The last DEPTH_CACHE_FRAMES frames asked for are kept.
         """
@@ -250,7 +299,9 @@ class SyntheticScene:
             cache.move_to_end(k)
         else:
             origin, dirs = self._camera_rays(k)
-            cache[k] = self._cast(origin, dirs)[0]
+            z = self._cast(origin, dirs, self._occluders_in_view(k))[0]
+            z.flags.writeable = False
+            cache[k] = z
             if len(cache) > DEPTH_CACHE_FRAMES:
                 cache.popitem(last=False)
         return cache[k]
@@ -278,7 +329,7 @@ class SyntheticScene:
     def image(self, k: int) -> np.ndarray:
         """(H, W, 3) color image in [0, 1] for frame k."""
         origin, dirs = self._camera_rays(k)
-        s, obj = self._cast(origin, dirs)
+        s, obj = self._cast(origin, dirs, self._occluders_in_view(k))
         pts = np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
         return self._surface_color(pts, obj)
 
@@ -288,15 +339,33 @@ class SyntheticScene:
         s = self.depth(k)
         return np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
 
-    def visible_from(self, k: int, pts: np.ndarray) -> np.ndarray:
-        """True where no surface lies between camera k's center and the world point.
+    def visible_from(self, k: int, i: int) -> np.ndarray:
+        """(H, W) mask: True where no occluder lies between camera k's center and
+        the surface point seen by each pixel of frame i.
 
-        Only occlusion is tested: whether the point is in camera k's view is
-        left to the caller (see `reproject`'s valid mask).
+        The mask is exact wherever `reproject`'s valid mask for the edge i -> k is
+        set; elsewhere it may be either value, since a point outside camera k's
+        view is only tested against the occluders in that view. The segment
+        runs along z_i * ray_i + (c_i - c_k), from the cached depth of frame i,
+        and a pixel is occluded when some in-view occluder's near root s lies in
+        (1e-9, 1 - 1e-6]. The outer sphere is not tested: every surface point
+        lies on or inside it, so its root is never below 1 - 1e-6.
         """
+        occluders = self._occluders_in_view(k)
+        shape = (self.spec.height, self.spec.width)
+        if not occluders:
+            return np.ones(shape, dtype=bool)
+        z = self.depth(i)
+        origin_i, rays = self._camera_rays(i)
         origin = self.camera_center(k)
-        s, _ = self._cast(origin, tuple(pts[..., r] - origin[r] for r in range(3)))
-        return s > 1.0 - 1e-6
+        delta = origin_i - origin
+        dx, dy, dz = (np.ravel(z * rays[r] + delta[r]) for r in range(3))
+        dd = dx * dx + dy * dy + dz * dz
+        visible = np.ones(dd.shape, dtype=bool)
+        for n in occluders:
+            hit, s = self._near_root(n, origin, dx, dy, dz, dd)
+            visible[hit[(s > 1e-9) & (s <= 1.0 - 1e-6)]] = False
+        return visible.reshape(shape)
 
     # -- prior corruption ---------------------------------------------------
 
@@ -339,14 +408,19 @@ class SyntheticProviders:
         scene = self.scene
         rel = scene.pose_w2c(j).compose(scene.pose_c2w(i))
         target, valid = reproject(scene.disparity(i), rel, scene.intrinsics)
-        seen = valid & scene.visible_from(j, scene.world_points(i))
-        weight = np.repeat(seen[..., None], 2, axis=-1).astype(np.float64)
+        seen = valid & scene.visible_from(j, i)
+        # two column writes: a broadcast bool -> float assignment is about 3x slower
+        weight = np.empty(target.shape)
+        weight[..., 0] = seen
+        weight[..., 1] = weight[..., 0]
         sigma = scene.spec.pixel_noise
         if sigma > 0:
             rng = np.random.default_rng(np.random.SeedSequence([scene.spec.seed, 31, i, j]))
-            target = target + sigma * rng.normal(size=target.shape)
+            noise = rng.standard_normal(target.shape)
+            noise *= sigma
+            target += noise
         # out-of-view targets carry zero weight; keep values finite regardless
-        target = np.where(np.isfinite(target), target, 0.0)
+        target[~np.isfinite(target)] = 0.0
         return CorrespondenceUpdate((i, j), target, weight)
 
     def provide_depth_prior(self, k: int) -> np.ndarray:

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from flowsplat.errors import DataError
 from flowsplat.geometry import Z_MIN
-from flowsplat.providers import (DEPTH_CACHE_FRAMES, DSPT_MAGIC, DSPT_VERSION, OUTER_RADIUS,
-                                 CorrespondenceUpdate, PlaceFeature, PrecomputedProviders,
-                                 SceneSpec, SyntheticProviders, SyntheticScene, dump_providers,
-                                 read_dspt, write_dspt)
+from flowsplat.geometry import SE3Pose
+from flowsplat.providers import (CONE_MARGIN, DEPTH_CACHE_FRAMES, DSPT_MAGIC, DSPT_VERSION,
+                                 OUTER_RADIUS, CorrespondenceUpdate, PlaceFeature,
+                                 PrecomputedProviders, SceneSpec, SyntheticProviders,
+                                 SyntheticScene, _look_at_c2w, dump_providers, read_dspt,
+                                 write_dspt)
 
 H, W = 24, 32
 FRAMES = [3, 4, 5, 6]
@@ -114,6 +116,101 @@ def test_depth_matches_scalar_ray_loop(scene):
     assert 0 < hits < len(FRAMES) * H * W
 
 
+def test_fixture_frames_both_cull_and_keep_occluders(scene):
+    # so the depth and weight oracle tests above and below run both the culled
+    # and the kept occluder paths
+    kept = [len(scene._occluders_in_view(k)) for k in FRAMES]
+    assert min(kept) < scene.spec.occluders and max(kept) > 0
+
+
+def grid_near_hits(scene, k, center, radius):
+    """How many rays through a dense grid of frame k's image rectangle, borders and
+    corners included, meet the sphere at a near root s > 1e-9."""
+    intr = scene.intrinsics
+    u = np.linspace(0.0, intr.width, 4 * intr.width + 1)
+    v = np.linspace(0.0, intr.height, 4 * intr.height + 1)[:, None]
+    c2w = scene.pose_c2w(k).matrix()
+    cam = [(u - intr.cx) / intr.fx + 0 * v, (v - intr.cy) / intr.fy + 0 * u, 1.0 + 0 * (u + v)]
+    d = [sum(c2w[r, m] * cam[m] for m in range(3)) for r in range(3)]
+    oc = c2w[:3, 3] - np.asarray(center)
+    a = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+    b = oc[0] * d[0] + oc[1] * d[1] + oc[2] * d[2]
+    disc = b * b - a * (oc @ oc - radius * radius)
+    near = (-b - np.sqrt(np.maximum(disc, 0.0))) / a
+    return int(((disc > 0) & (near > 1e-9)).sum())
+
+
+def cone_half_angle(scene):
+    intr = scene.intrinsics
+    return max(math.atan(math.hypot((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy))
+               for u in (0, intr.width) for v in (0, intr.height))
+
+
+def sphere_at(scene, k, theta, phi, dist):
+    """World point at distance dist from camera k, theta off its optical axis at azimuth phi."""
+    c2w = scene.pose_c2w(k).matrix()
+    local = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    return c2w[:3, 3] + dist * (c2w[:3, :3] @ local)
+
+
+def place_occluders(scene, centers, radii):
+    scene.sphere_centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    scene.sphere_radii = np.asarray(radii, dtype=float)
+    scene.sphere_colors = np.full((len(scene.sphere_radii), 3), 0.5)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 50), trajectory=st.sampled_from(["orbit", "line", "rotate"]),
+       frame=st.integers(0, 29), size=st.tuples(st.integers(8, 24), st.integers(8, 24)),
+       focal=st.floats(4.0, 40.0),
+       spheres=st.lists(st.tuples(st.floats(-0.05, 0.05), st.floats(0, 2 * math.pi),
+                                  st.floats(0.05, 5.0), st.floats(0.01, 2.0)), max_size=6))
+def test_culled_occluders_are_never_hit_in_the_image_rectangle(seed, trajectory, frame, size,
+                                                               focal, spheres):
+    # the scene's own occluders plus spheres whose angular disc ends within
+    # 0.05 rad of the view cone, at any azimuth (corners included); a sphere
+    # with radius above its distance contains the camera
+    h, w = size
+    scene = SyntheticScene(SceneSpec(trajectory=trajectory, frames=30, height=h, width=w,
+                                     seed=seed, focal=focal))
+    half = cone_half_angle(scene)
+    centers, radii = list(scene.sphere_centers), list(scene.sphere_radii)
+    for delta, phi, dist, radius in spheres:
+        theta = half + math.asin(min(radius / dist, 1.0)) + delta
+        centers.append(sphere_at(scene, frame, theta, phi, dist))
+        radii.append(radius)
+    place_occluders(scene, centers, radii)
+    kept = scene._occluders_in_view(frame)
+    assert kept == sorted(set(kept))
+    for i, (c, r) in enumerate(zip(centers, radii)):
+        if i not in kept:
+            assert grid_near_hits(scene, frame, c, r) == 0, (i, c, r)
+
+
+def test_cull_at_the_cone_boundary_and_around_the_camera():
+    scene = SyntheticScene(SceneSpec(frames=8, height=H, width=W, seed=0))
+    k, dist, radius = 2, 3.0, 0.5
+    half = cone_half_angle(scene)
+    corner = math.atan2(H, W)  # azimuth of the image corner (W, H), where the cone touches
+    edge = half + math.asin(radius / dist)
+    center = scene.camera_center(k)
+    cases = [  # (sphere center, radius, kept, hit by a grid ray)
+        (sphere_at(scene, k, edge + 2 * CONE_MARGIN, corner, dist), radius, False, False),
+        (sphere_at(scene, k, edge + 0.5 * CONE_MARGIN, corner, dist), radius, True, False),
+        (sphere_at(scene, k, edge - 1e-3, corner, dist), radius, True, True),
+        (sphere_at(scene, k, edge - 1e-3, corner + 0.3, dist), radius, True, False),
+        (sphere_at(scene, k, math.pi, 0.0, dist), radius, False, False),  # behind
+        (center, radius, True, False),  # camera at the center: no near root ahead
+        (sphere_at(scene, k, math.pi, 0.0, radius * (1 - 1e-12)), radius, True, False),
+        (sphere_at(scene, k, 0.0, 0.0, radius), radius, True, False),  # touching, ahead
+    ]
+    place_occluders(scene, [c for c, *_ in cases], [r for _, r, *_ in cases])
+    kept = scene._occluders_in_view(k)
+    for i, (c, r, keep, hit) in enumerate(cases):
+        assert (i in kept) == keep, i
+        assert (grid_near_hits(scene, k, c, r) > 0) == hit, i
+
+
 def test_depth_cache_keeps_recent_frames_and_recomputes_evicted_ones_bit_identically():
     scene = SyntheticScene(SceneSpec(frames=24, height=H, width=W, seed=0))
     first = scene.depth(0).copy()
@@ -125,6 +222,62 @@ def test_depth_cache_keeps_recent_frames_and_recomputes_evicted_ones_bit_identic
     scene.depth(20)
     assert 12 in scene._depth_cache and 13 not in scene._depth_cache
     assert np.array_equal(scene.depth(0), first)
+
+
+def test_cached_depth_is_read_only():
+    scene = SyntheticScene(SceneSpec(frames=24, height=H, width=W, seed=0,
+                                     prior_scale_range=(0.5, 2.0)))
+    providers = SyntheticProviders(scene)
+    depth, prior = scene.depth(3).copy(), providers.provide_depth_prior(3)
+    d = scene.depth(3)
+    with pytest.raises(ValueError):
+        d *= 2
+    with pytest.raises(ValueError):
+        d[0, 0] = 1.0
+    assert np.array_equal(scene.depth(3), depth)
+    assert np.array_equal(providers.provide_depth_prior(3), prior)
+
+
+def look_at_with_np_cross(center, forward):
+    f = forward / np.linalg.norm(forward)
+    r = np.cross(f, np.array([0.0, 0, 1.0]))
+    if np.linalg.norm(r) < 1e-8:
+        r = np.cross(f, np.array([0.0, 1.0, 0]))
+    r = r / np.linalg.norm(r)
+    T = np.eye(4)
+    T[:3, :3] = np.stack([r, np.cross(f, r), f], axis=1)
+    T[:3, 3] = center
+    return SE3Pose.from_matrix(T)
+
+
+def test_look_at_equals_np_cross_construction_bit_for_bit():
+    rng = np.random.default_rng(5)
+    forwards = list(rng.normal(size=(300, 3)) * rng.uniform(1e-3, 1e3, size=(300, 1)))
+    # vertical and nearly vertical forwards take the fallback up vector
+    forwards += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -2.5]),
+                 np.array([1e-10, -1e-10, 1.0]), np.array([-0.0, 0.0, -1e-3])]
+    fallback = 0
+    for fwd in forwards:
+        center = rng.normal(size=3)
+        got, want = _look_at_c2w(center, fwd), look_at_with_np_cross(center, fwd)
+        assert np.array_equal(got.quat, want.quat), fwd
+        assert np.array_equal(got.trans, want.trans), fwd
+        fallback += np.linalg.norm(np.cross(fwd / np.linalg.norm(fwd), [0, 0, 1.0])) < 1e-8
+    assert fallback == 4
+
+
+def test_image_equals_color_of_the_unculled_cast(scene):
+    on_occluder = 0
+    for k in FRAMES:
+        origin, dirs = scene._camera_rays(k)
+        s, obj = scene._cast(origin, dirs)
+        pts = np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
+        image = scene.image(k)
+        assert image.shape == (H, W, 3)
+        assert np.array_equal(image, scene._surface_color(pts, obj))
+        assert image.min() >= 0.02 and image.max() <= 0.98
+        on_occluder += int((obj >= 0).sum())
+    assert on_occluder > 0
 
 
 def test_targets_match_scalar_reprojection(scene):
