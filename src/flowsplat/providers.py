@@ -5,7 +5,8 @@ implementations:
 
   * SyntheticProviders - exact oracles backed by an analytic ray-cast scene,
     with configurable noise; every quantity they emit is verifiable against
-    the scene's ground truth.
+    the scene's ground truth. On large images each edge's pixel-noise draw
+    runs on one worker thread while the calling thread does the geometry.
   * PrecomputedProviders - reads tensors produced offline (by a real network
     stack) from disk in the DSPT binary format documented below.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -36,6 +38,14 @@ DSPT_VERSION = 1
 FEATURE_DIM = 64
 DEPTH_CACHE_FRAMES = 8  # SyntheticScene.depth keeps this many frames (0.6 MB each at 240x320)
 CONE_MARGIN = 1e-6  # rad; the view-cone cull keeps occluders this close to the cone
+# Noise values per edge from which SyntheticProviders draws them on its worker.
+# Handing a draw to the worker and back costs about 70 us. Per edge, inline vs
+# worker (timeit, min of 5 x 20 calls, 2-vCPU VM): 48x64 (6144 values) 240 vs
+# 238 us, the break-even; 64x96 (12288) 412 vs 330 us; 128x160 (40960) 1388
+# vs 971 us; 240x320 (153600) 4864 vs 3130 us. The threshold sits about 5x
+# above the break-even, so a second core busy with other work does not make
+# small edges slower.
+NOISE_THREAD_MIN = 1 << 15
 
 
 @dataclass
@@ -108,6 +118,22 @@ class SceneSpec:
             raise ConfigError(f"unknown trajectory type '{self.trajectory}'")
         if self.height < 8 or self.width < 8:
             raise ConfigError("scene resolution must be at least 8x8")
+        # each test is written so that NaN fails it too
+        for name in ("pixel_noise", "prior_noise", "feature_noise"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.occluders < 0:
+            raise ConfigError(f"occluders must be >= 0, got {self.occluders}")
+        if not 0.0 < self.fps < math.inf:
+            raise ConfigError(f"fps must be finite and > 0, got {self.fps}")
+        if self.focal is not None and not 0.0 < self.focal < math.inf:
+            raise ConfigError(f"focal must be finite and > 0, got {self.focal}")
+        lo, hi = self.prior_scale_range
+        if not 0.0 < lo <= hi < math.inf:
+            raise ConfigError(f"prior_scale_range must satisfy 0 < lo <= hi, got {(lo, hi)}")
+        lo, hi = self.prior_offset_range
+        if not -math.inf < lo <= hi < math.inf:
+            raise ConfigError(f"prior_offset_range must satisfy lo <= hi, got {(lo, hi)}")
 
 
 OUTER_RADIUS = 6.0
@@ -388,10 +414,41 @@ class SyntheticScene:
 # ---------------------------------------------------------------------------
 
 class SyntheticProviders:
-    """Oracle implementations of all three provider roles for one scene."""
+    """Oracle implementations of all three provider roles for one scene.
+
+    An edge with at least NOISE_THREAD_MIN pixel-noise values submits its
+    normal draw to a single worker thread before any geometry, composes,
+    reprojects and tests visibility on the calling thread, then waits for the
+    draw and adds the noise. numpy's Generator releases the GIL while it fills
+    an array, so the two overlap; the draw reads the same (seed, 31, i, j)
+    stream as an inline one, so targets are bit-identical either way. Only the
+    draw runs there. It shares nothing: the worker touches its own Generator
+    and the buffer the caller allocated, never the scene or its depth cache.
+    Visibility and depth stay on the calling thread: their many short numpy
+    calls hold the GIL, so they would overlap little, and they read and fill
+    the depth cache. Smaller edges draw inline, where the handoff costs more
+    than the draw hides.
+
+    The worker starts at the first offloaded draw, never at construction.
+    `close()` (or leaving a `with` block) ends it, and so does dropping the
+    provider.
+    """
 
     def __init__(self, scene: SyntheticScene):
         self.scene = scene
+        self._noise_pool: ThreadPoolExecutor | None = None
+
+    def close(self):
+        """End the noise worker, if one was started; a later offloaded edge starts another."""
+        if self._noise_pool is not None:
+            self._noise_pool.shutdown(wait=True)
+            self._noise_pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def _check_frame(self, k: int):
         if not (0 <= k < self.scene.spec.frames):
@@ -406,17 +463,30 @@ class SyntheticProviders:
         self._check_frame(i)
         self._check_frame(j)
         scene = self.scene
-        rel = scene.pose_w2c(j).compose(scene.pose_c2w(i))
-        target, valid = reproject(scene.disparity(i), rel, scene.intrinsics)
-        seen = valid & scene.visible_from(j, i)
-        # two column writes: a broadcast bool -> float assignment is about 3x slower
-        weight = np.empty(target.shape)
-        weight[..., 0] = seen
-        weight[..., 1] = weight[..., 0]
         sigma = scene.spec.pixel_noise
+        drawn = None
         if sigma > 0:
+            noise = np.empty((scene.spec.height, scene.spec.width, 2))
             rng = np.random.default_rng(np.random.SeedSequence([scene.spec.seed, 31, i, j]))
-            noise = rng.standard_normal(target.shape)
+            if noise.size >= NOISE_THREAD_MIN:
+                if self._noise_pool is None:
+                    self._noise_pool = ThreadPoolExecutor(max_workers=1,
+                                                          thread_name_prefix="flowsplat-noise")
+                drawn = self._noise_pool.submit(rng.standard_normal, out=noise)
+            else:
+                rng.standard_normal(out=noise)
+        try:
+            rel = scene.pose_w2c(j).compose(scene.pose_c2w(i))
+            target, valid = reproject(scene.disparity(i), rel, scene.intrinsics)
+            seen = valid & scene.visible_from(j, i)
+            # two column writes: a broadcast bool -> float assignment is about 3x slower
+            weight = np.empty(target.shape)
+            weight[..., 0] = seen
+            weight[..., 1] = weight[..., 0]
+        finally:
+            if drawn is not None:
+                drawn.result()  # the worker never writes into noise after this returns
+        if sigma > 0:
             noise *= sigma
             target += noise
         # out-of-view targets carry zero weight; keep values finite regardless

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowsplat.errors import DataError
+from flowsplat.errors import ConfigError, DataError
 from flowsplat.geometry import Z_MIN
 from flowsplat.geometry import SE3Pose
 from flowsplat.providers import (CONE_MARGIN, DEPTH_CACHE_FRAMES, DSPT_MAGIC, DSPT_VERSION,
@@ -349,6 +349,26 @@ def test_dump_then_precomputed_equals_float32_cast(scene, tmp_path):
 # ---------------------------------------------------------------------------
 # validators and the DSPT reader
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("pixel_noise", -0.5), ("pixel_noise", math.nan), ("pixel_noise", math.inf),
+    ("prior_noise", -0.05), ("prior_noise", math.nan), ("feature_noise", -1.0),
+    ("feature_noise", math.inf), ("occluders", -1), ("fps", 0.0), ("fps", -30.0),
+    ("fps", math.nan), ("focal", 0.0), ("focal", -40.0), ("focal", math.nan),
+    ("focal", math.inf), ("prior_scale_range", (2.0, 0.5)), ("prior_scale_range", (0.0, 1.0)),
+    ("prior_scale_range", (-1.0, -0.5)), ("prior_scale_range", (1.0, math.nan)),
+    ("prior_offset_range", (0.1, -0.1)), ("prior_offset_range", (-math.inf, 0.0)),
+], ids=str)
+def test_scene_spec_rejects_invalid_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SceneSpec(**{field: value})
+
+
+def test_scene_spec_accepts_boundary_values():
+    spec = SceneSpec(pixel_noise=0.0, prior_noise=0.0, feature_noise=0.0, occluders=0,
+                     focal=1e-3, prior_scale_range=(1e-3, 1e-3), prior_offset_range=(0.1, 0.1))
+    SyntheticScene(spec)
+
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
 def test_correspondence_update_rejects_bad_weights(bad):
