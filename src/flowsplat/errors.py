@@ -13,10 +13,6 @@ class DataError(FlowSplatError):
     """Malformed or missing input data (dataset files, tensor files)."""
 
 
-class CapacityError(FlowSplatError):
-    """A fixed-size buffer overflowed."""
-
-
 class NumericalError(FlowSplatError):
     """Non-finite values encountered during optimization or rendering."""
 

@@ -19,6 +19,7 @@ weight v), `prior_{k:06d}.dspt` (C=1: disparity), `feat_{k:06d}.dspt` (C=D).
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 # project is not called here; perfbench/spans.py wraps it in this module by name
-from .geometry import PinholeIntrinsics, SE3Pose, project, ray_grid, reproject
+from .geometry import PinholeIntrinsics, SE3Pose, compose, inverse, project, ray_grid, reproject
 
 DSPT_MAGIC = b"DSPT"
 DSPT_VERSION = 1
@@ -112,8 +113,14 @@ class SceneSpec:
     feature_noise: float = 0.0
 
     def __post_init__(self):
+        for name in ("frames", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.frames < 2:
             raise ConfigError(f"scene needs at least 2 frames, got {self.frames}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trajectory not in ("orbit", "line", "rotate"):
             raise ConfigError(f"unknown trajectory type '{self.trajectory}'")
         if self.height < 8 or self.width < 8:
@@ -122,6 +129,8 @@ class SceneSpec:
         for name in ("pixel_noise", "prior_noise", "feature_noise"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not math.isfinite(self.texture_freq):
+            raise ConfigError(f"texture_freq must be finite, got {self.texture_freq}")
         if self.occluders < 0:
             raise ConfigError(f"occluders must be >= 0, got {self.occluders}")
         if not 0.0 < self.fps < math.inf:
@@ -145,19 +154,18 @@ def _cross(a, b) -> tuple[float, float, float]:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _look_at_c2w(center: np.ndarray, forward: np.ndarray) -> SE3Pose:
-    f = forward / np.linalg.norm(forward)
-    f_list = f.tolist()
-    r = np.array(_cross(f_list, (0.0, 0.0, 1.0)))
-    if np.linalg.norm(r) < 1e-8:
-        r = np.array(_cross(f_list, (0.0, 1.0, 0.0)))
-    r = r / np.linalg.norm(r)
-    T = np.eye(4)
-    T[:3, 0] = r
-    T[:3, 1] = _cross(f_list, r.tolist())
-    T[:3, 2] = f
-    T[:3, 3] = center
-    return SE3Pose.from_matrix(T)
+def _look_at_c2w(forwards: np.ndarray) -> np.ndarray:
+    """Camera-to-world rotations (N, 3, 3) of cameras looking along forwards (N, 3).
+
+    Columns are right, down and forward, with right = forward x z-up; a
+    vertical forward takes y as the up vector instead.
+    """
+    f = forwards / np.linalg.norm(forwards, axis=-1, keepdims=True)
+    r = np.cross(f, (0.0, 0.0, 1.0))
+    vertical = np.linalg.norm(r, axis=-1) < 1e-8
+    r[vertical] = np.cross(f[vertical], (0.0, 1.0, 0.0))
+    r /= np.linalg.norm(r, axis=-1, keepdims=True)
+    return np.stack([r, np.cross(f, r), f], axis=-1)
 
 
 class SyntheticScene:
@@ -185,8 +193,12 @@ class SyntheticScene:
             self.sphere_centers = np.zeros((0, 3))
             self.sphere_radii = np.zeros(0)
             self.sphere_colors = np.zeros((0, 3))
-        self._poses_c2w = [self._trajectory_pose(k) for k in range(spec.frames)]
-        self._poses_w2c = [p.inverse() for p in self._poses_c2w]
+        centers, forwards = self._trajectory()
+        self._R_c2w = _look_at_c2w(forwards)
+        self._centers = centers
+        self._R_w2c, self._t_w2c = inverse(self._R_c2w, centers)
+        for a in (self._R_c2w, self._centers, self._R_w2c, self._t_w2c):
+            a.flags.writeable = False  # pose_c2w / pose_w2c hand out views of their rows
         self._prior_affine = self._draw_prior_affine()
         self._feature_mix = np.random.default_rng(
             np.random.SeedSequence([spec.seed, 777])).normal(size=(FEATURE_DIM, 6))
@@ -194,41 +206,43 @@ class SyntheticScene:
 
     # -- trajectory ---------------------------------------------------------
 
-    def _trajectory_pose(self, k: int) -> SE3Pose:
+    def _trajectory(self) -> tuple[np.ndarray, np.ndarray]:
+        """Camera centers and forward directions of every frame, each (frames, 3)."""
         n = self.spec.frames
-        s = k / n
+        s = np.arange(n) / n
         if self.spec.trajectory == "orbit":
             phi = 2 * np.pi * s
-            center = np.array([ORBIT_RADIUS * np.cos(phi), ORBIT_RADIUS * np.sin(phi),
-                               0.25 * np.sin(2 * phi)])
-            fwd = np.array([np.cos(phi), np.sin(phi), -0.08])
+            centers = np.stack([ORBIT_RADIUS * np.cos(phi), ORBIT_RADIUS * np.sin(phi),
+                                0.25 * np.sin(2 * phi)], axis=-1)
+            forwards = np.stack([np.cos(phi), np.sin(phi), np.full(n, -0.08)], axis=-1)
         elif self.spec.trajectory == "line":
             t = (s - 0.5) * 3.0
-            center = np.array([t, -0.4 * np.sin(np.pi * s), 0.2 * np.sin(2 * np.pi * s)])
+            centers = np.stack([t, -0.4 * np.sin(np.pi * s), 0.2 * np.sin(2 * np.pi * s)],
+                               axis=-1)
             yaw = 0.25 * np.sin(2 * np.pi * s)
-            fwd = np.array([np.sin(yaw), np.cos(yaw), -0.05])
+            forwards = np.stack([np.sin(yaw), np.cos(yaw), np.full(n, -0.05)], axis=-1)
         else:  # rotate: fixed center, single-axis yaw sweep
             yaw = 1.2 * s
-            center = np.array([0.5, 0.0, 0.0])
-            fwd = np.array([np.cos(yaw), np.sin(yaw), 0.0])
-        return _look_at_c2w(center, fwd)
+            centers = np.tile([0.5, 0.0, 0.0], (n, 1))
+            forwards = np.stack([np.cos(yaw), np.sin(yaw), np.zeros(n)], axis=-1)
+        return centers, forwards
 
     def timestamp(self, k: int) -> float:
         return k / self.spec.fps
 
     def pose_c2w(self, k: int) -> SE3Pose:
-        return self._poses_c2w[k]
+        return SE3Pose(self._R_c2w[k], self._centers[k])
 
     def pose_w2c(self, k: int) -> SE3Pose:
-        return self._poses_w2c[k]
+        return SE3Pose(self._R_w2c[k], self._t_w2c[k])
+
+    def relative_pose(self, i: int, j: int) -> SE3Pose:
+        """Camera i's frame to camera j's, T_w2c[j] T_c2w[i], composed from the stored rows."""
+        return SE3Pose(*compose(self._R_w2c[j], self._t_w2c[j],
+                                self._R_c2w[i], self._centers[i]))
 
     def camera_center(self, k: int) -> np.ndarray:
-        return self._poses_c2w[k].trans
-
-    def diameter(self) -> float:
-        pts = np.stack([p.trans for p in self._poses_c2w])
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        return float(max(d.max(), 1e-9))
+        return self._centers[k]
 
     # -- ray casting --------------------------------------------------------
 
@@ -246,7 +260,7 @@ class SyntheticScene:
             math.hypot((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
             for u in (0.0, intr.width) for v in (0.0, intr.height)))
         o = self.camera_center(k).tolist()
-        axis = self._poses_c2w[k].rotation[:, 2].tolist()
+        axis = self._R_c2w[k, :, 2].tolist()
         keep = []
         for i, (c, r) in enumerate(zip(self.sphere_centers.tolist(), self.sphere_radii.tolist())):
             v = (c[0] - o[0], c[1] - o[1], c[2] - o[2])
@@ -311,7 +325,7 @@ class SyntheticScene:
         components is a separable (W,) + (H, 1) sum over `ray_grid`, shaped (H, W).
         """
         xn, yn = ray_grid(self.intrinsics)
-        R = self._poses_c2w[k].rotation
+        R = self._R_c2w[k]
         dirs = tuple(R[r, 0] * xn + R[r, 1] * yn + R[r, 2] for r in range(3))
         return self.camera_center(k), dirs
 
@@ -476,8 +490,8 @@ class SyntheticProviders:
             else:
                 rng.standard_normal(out=noise)
         try:
-            rel = scene.pose_w2c(j).compose(scene.pose_c2w(i))
-            target, valid = reproject(scene.disparity(i), rel, scene.intrinsics)
+            target, valid = reproject(scene.depth(i), scene.relative_pose(i, j),
+                                      scene.intrinsics, depth=True)
             seen = valid & scene.visible_from(j, i)
             # two column writes: a broadcast bool -> float assignment is about 3x slower
             weight = np.empty(target.shape)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
-from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, pixel_grid, project,
-                                reproject, rotation_angle_between, se3_exp,
-                                se3_interpolate, se3_log, unproject)
+from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, act, compose, exp, from_quat,
+                                inverse, log, pixel_grid, project, reproject,
+                                rotation_angle_between, se3_exp, se3_interpolate, se3_log,
+                                unproject)
 
 RNG = np.random.default_rng(7)
 
@@ -30,6 +34,15 @@ class TestSE3:
         assert np.allclose(g.trans, 0, atol=1e-12)
         R = g.rotation
         assert np.allclose(R @ np.array([1, 0, 0]), [-1, 0, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_log_at_pi(self, axis):
+        # q_w is exactly 0 here, so the small-angle branch must not divide by it
+        w = np.zeros(3)
+        w[axis] = np.pi
+        R = np.diag(np.where(np.arange(3) == axis, 1.0, -1.0))
+        xi = se3_log(SE3Pose(R, np.zeros(3)))
+        assert np.allclose(np.abs(xi), np.concatenate([np.zeros(3), w]), rtol=0, atol=1e-15)
 
     def test_log_exp_roundtrip(self):
         for _ in range(50):
@@ -61,11 +74,12 @@ class TestSE3:
         for _ in range(200):
             g = g.compose(random_pose(RNG, rot_scale=0.3))
             assert abs(np.linalg.norm(g.quat) - 1.0) < 1e-9
+            assert np.abs(g.rotation.T @ g.rotation - np.eye(3)).max() < 1e-9
 
     @pytest.mark.parametrize("quat", [np.zeros(4), [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]])
     def test_rejects_zero_or_non_finite_quaternion(self, quat):
         with pytest.raises(ValueError):
-            SE3Pose(np.asarray(quat), np.zeros(3))
+            SE3Pose(from_quat(np.asarray(quat)), np.zeros(3))
 
     @pytest.mark.parametrize("gap", [1e-5, 1e-9])
     def test_log_near_pi_matches_scipy_rotvec(self, gap):
@@ -172,7 +186,7 @@ class TestReproject:
         # closed-form homography is a pure scaling about (cx, cy) by 2/1.5
         intr = intr_100()
         disp = np.full((100, 100), 0.5)
-        fwd = SE3Pose(np.array([1.0, 0, 0, 0]), np.array([0, 0, -0.5]))
+        fwd = SE3Pose(np.eye(3), np.array([0, 0, -0.5]))
         corr, ok = reproject(disp, fwd, intr)
         grid = pixel_grid(intr)
         scale = 2.0 / 1.5
@@ -217,6 +231,19 @@ class TestReproject:
         corr_px, ok_px = reproject(disp, g, intr, pixels=pixel_grid(intr))
         assert np.array_equal(corr_px, corr) and np.array_equal(ok_px, ok)
 
+    def test_depth_path_equals_disparity_path_on_the_inverse(self):
+        intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
+        rng = np.random.default_rng(6)
+        disp = rng.uniform(0.3, 1.5, size=(30, 32))
+        g = random_pose(rng, rot_scale=0.2, trans_scale=0.5)
+        corr, ok = reproject(disp, g, intr)
+        corr_z, ok_z = reproject(1.0 / disp, g, intr, depth=True)
+        assert np.array_equal(corr_z, corr) and np.array_equal(ok_z, ok)
+        depth = 1.0 / disp
+        depth[3, 4] = 0.0
+        with pytest.raises(ValueError, match="depth"):
+            reproject(depth, g, intr, depth=True)
+
 
 def test_geodesic_interpolation_endpoint_and_midpoint():
     a = random_pose(RNG)
@@ -232,3 +259,80 @@ def test_intrinsics_invariants():
         PinholeIntrinsics(-1.0, 100.0, 50.0, 50.0, 100, 100)
     with pytest.raises(ValueError):
         PinholeIntrinsics(100.0, 100.0, 120.0, 50.0, 100, 100)
+
+
+# ---------------------------------------------------------------------------
+# batched ops on the (N, 3, 3) + (N, 3) layout
+# ---------------------------------------------------------------------------
+
+@st.composite
+def twists(draw, max_angle=np.pi - 1e-9):
+    """(N, 6) twists (v, w) with |v_i| <= 5 and |w| in [0, max_angle]."""
+    n = draw(st.integers(1, 6))
+    v = draw(arrays(np.float64, (n, 3), elements=st.floats(-5, 5)))
+    axis = draw(arrays(np.float64, (n, 3), elements=st.floats(-1, 1)))
+    norm = np.linalg.norm(axis, axis=1, keepdims=True)
+    axis = np.where(norm > 1e-3, axis / np.maximum(norm, 1e-3), [1.0, 0.0, 0.0])
+    angle = draw(arrays(np.float64, (n, 1), elements=st.floats(0, max_angle)))
+    return np.concatenate([v, angle * axis], axis=1)
+
+
+def matrices(R, t):
+    """(N, 4, 4) homogeneous matrices of a batch."""
+    T = np.zeros(R.shape[:-2] + (4, 4))
+    T[..., :3, :3], T[..., :3, 3], T[..., 3, 3] = R, t, 1.0
+    return T
+
+
+def twist_matrix(xi):
+    T = np.zeros((4, 4))
+    T[:3, :3] = [[0, -xi[5], xi[4]], [xi[5], 0, -xi[3]], [-xi[4], xi[3], 0]]
+    T[:3, 3] = xi[:3]
+    return T
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY
+@given(twists(max_angle=3.0 * np.pi))
+def test_batched_exp_matches_scipy_expm_of_each_twist(xi):
+    T = matrices(*exp(xi))
+    for row, twist in zip(T, xi):
+        assert np.allclose(row, scipy.linalg.expm(twist_matrix(twist)), rtol=0, atol=1e-10)
+
+
+@PROPERTY
+@given(twists())
+def test_batched_log_inverts_exp_up_to_pi(xi):
+    assert np.abs(log(*exp(xi)) - xi).max() <= 1e-12
+
+
+@PROPERTY
+@given(twists(), twists(), arrays(np.float64, (6, 3), elements=st.floats(-10, 10)))
+def test_batched_compose_inverse_act_match_4x4_products(xa, xb, points):
+    n = min(len(xa), len(xb))
+    (Ra, ta), (Rb, tb), p = exp(xa[:n]), exp(xb[:n]), points[:n]
+    Ta, Tb = matrices(Ra, ta), matrices(Rb, tb)
+    assert np.allclose(matrices(*compose(Ra, ta, Rb, tb)), Ta @ Tb, rtol=0, atol=1e-12)
+    assert np.allclose(matrices(*inverse(Ra, ta)), np.linalg.inv(Ta), rtol=0, atol=1e-12)
+    hom = np.concatenate([p, np.ones((n, 1))], axis=1)
+    assert np.allclose(act(Ra, ta, p), (Ta @ hom[..., None])[:, :3, 0], rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(twists(), twists(), arrays(np.float64, (6, 3), elements=st.floats(-10, 10)))
+def test_batched_ops_equal_single_pose_calls_row_for_row(xa, xb, points):
+    n = min(len(xa), len(xb))
+    xa, xb, p = xa[:n], xb[:n], points[:n]
+    (Ra, ta), (Rb, tb) = exp(xa), exp(xb)
+    batched = {"compose": compose(Ra, ta, Rb, tb), "inverse": inverse(Ra, ta)}
+    logs, acted = log(Ra, ta), act(Ra, ta, p)
+    for k in range(n):
+        a, b = se3_exp(xa[k]), SE3Pose(Rb[k], tb[k])
+        assert np.array_equal(a.rotation, Ra[k]) and np.array_equal(a.trans, ta[k])
+        assert np.array_equal(se3_log(a), logs[k])
+        assert np.array_equal(a.apply(p[k]), acted[k])
+        for name, single in [("compose", a.compose(b)), ("inverse", a.inverse())]:
+            R, t = batched[name]
+            assert np.array_equal(single.rotation, R[k]) and np.array_equal(single.trans, t[k])

@@ -40,8 +40,7 @@ def new_threads(before):
 
 
 def noise_free_target(scene, i, j):
-    rel = scene.pose_w2c(j).compose(scene.pose_c2w(i))
-    return reproject(scene.disparity(i), rel, scene.intrinsics)[0]
+    return reproject(scene.depth(i), scene.relative_pose(i, j), scene.intrinsics, depth=True)[0]
 
 
 def expected_target(scene, i, j):

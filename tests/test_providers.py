@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from flowsplat.errors import ConfigError, DataError
 from flowsplat.geometry import Z_MIN
-from flowsplat.geometry import SE3Pose
 from flowsplat.providers import (CONE_MARGIN, DEPTH_CACHE_FRAMES, DSPT_MAGIC, DSPT_VERSION,
                                  OUTER_RADIUS, CorrespondenceUpdate, PlaceFeature,
                                  PrecomputedProviders, SceneSpec, SyntheticProviders,
@@ -238,30 +237,31 @@ def test_cached_depth_is_read_only():
     assert np.array_equal(providers.provide_depth_prior(3), prior)
 
 
-def look_at_with_np_cross(center, forward):
-    f = forward / np.linalg.norm(forward)
+def look_at_with_np_cross(forward):
+    """One camera's look-at rotation from one forward 3-vector.
+
+    Norms are taken along an axis, as in the batched construction: the 1-D
+    norm without one goes through a BLAS dot, which rounds differently.
+    """
+    f = forward / np.linalg.norm(forward, axis=-1)
     r = np.cross(f, np.array([0.0, 0, 1.0]))
-    if np.linalg.norm(r) < 1e-8:
+    if np.linalg.norm(r, axis=-1) < 1e-8:
         r = np.cross(f, np.array([0.0, 1.0, 0]))
-    r = r / np.linalg.norm(r)
-    T = np.eye(4)
-    T[:3, :3] = np.stack([r, np.cross(f, r), f], axis=1)
-    T[:3, 3] = center
-    return SE3Pose.from_matrix(T)
+    r = r / np.linalg.norm(r, axis=-1)
+    return np.stack([r, np.cross(f, r), f], axis=1)
 
 
 def test_look_at_equals_np_cross_construction_bit_for_bit():
     rng = np.random.default_rng(5)
-    forwards = list(rng.normal(size=(300, 3)) * rng.uniform(1e-3, 1e3, size=(300, 1)))
+    forwards = rng.normal(size=(300, 3)) * rng.uniform(1e-3, 1e3, size=(300, 1))
     # vertical and nearly vertical forwards take the fallback up vector
-    forwards += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -2.5]),
-                 np.array([1e-10, -1e-10, 1.0]), np.array([-0.0, 0.0, -1e-3])]
+    forwards = np.concatenate([forwards, [[0.0, 0.0, 1.0], [0.0, 0.0, -2.5],
+                                          [1e-10, -1e-10, 1.0], [-0.0, 0.0, -1e-3]]])
+    rotations = _look_at_c2w(forwards)
+    assert rotations.shape == (len(forwards), 3, 3)
     fallback = 0
-    for fwd in forwards:
-        center = rng.normal(size=3)
-        got, want = _look_at_c2w(center, fwd), look_at_with_np_cross(center, fwd)
-        assert np.array_equal(got.quat, want.quat), fwd
-        assert np.array_equal(got.trans, want.trans), fwd
+    for fwd, got in zip(forwards, rotations):
+        assert np.array_equal(got, look_at_with_np_cross(fwd)), fwd
         fallback += np.linalg.norm(np.cross(fwd / np.linalg.norm(fwd), [0, 0, 1.0])) < 1e-8
     assert fallback == 4
 
@@ -358,6 +358,7 @@ def test_dump_then_precomputed_equals_float32_cast(scene, tmp_path):
     ("focal", math.inf), ("prior_scale_range", (2.0, 0.5)), ("prior_scale_range", (0.0, 1.0)),
     ("prior_scale_range", (-1.0, -0.5)), ("prior_scale_range", (1.0, math.nan)),
     ("prior_offset_range", (0.1, -0.1)), ("prior_offset_range", (-math.inf, 0.0)),
+    ("seed", -1), ("frames", 2.5), ("texture_freq", math.nan), ("texture_freq", math.inf),
 ], ids=str)
 def test_scene_spec_rejects_invalid_values(field, value):
     with pytest.raises(ConfigError, match=field):
