@@ -1,24 +1,19 @@
-"""flowsplat: dense-flow SLAM core with a differentiable Gaussian splat renderer.
+"""flowsplat: geometry and data providers for a dense-flow SLAM core.
 
 The package is organized as a numpy/scipy library:
 
-  geometry        SE(3) algebra and the pinhole projection pair
+  geometry        batched SE(3) ops, the pinhole camera, project and reproject
   providers       correspondence/depth/feature providers + synthetic scenes
   errors          exception types shared across the package
 """
 
-from .geometry import (PinholeIntrinsics, SE3Pose, heuristic_intrinsics, project,
-                       reproject, rotation_angle_between, se3_exp, se3_log, unproject)
+from .geometry import PinholeIntrinsics, SE3Pose, heuristic_intrinsics, project, reproject
 
 __all__ = [
     "SE3Pose",
     "PinholeIntrinsics",
-    "se3_exp",
-    "se3_log",
     "project",
-    "unproject",
     "reproject",
-    "rotation_angle_between",
     "heuristic_intrinsics",
 ]
 

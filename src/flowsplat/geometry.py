@@ -1,23 +1,27 @@
-"""SE(3) poses, pinhole cameras and the projection/unprojection pair.
+"""SE(3) poses, the pinhole camera, projection and dense reprojection.
 
 Conventions used everywhere in this package:
   * poses are world-to-camera: X_cam = R @ X_world + t
   * N poses are one rotation array (N, 3, 3) plus one translation array
-    (N, 3). exp, log, compose, inverse and act take any leading dimensions,
-    so one pose is the (3, 3) + (3,) case, and SE3Pose holds one such row.
-  * quaternions (w, x, y, z) appear only at I/O (from_quat, to_quat,
-    SE3Pose.quat, rotation_angle_between) and inside log, which reads the
-    rotation angle from one (Shepperd's method, accurate up to pi)
+    (N, 3). exp, log, compose, inverse and act are the one pose algebra: they
+    take any leading dimensions, so one pose is the (3, 3) + (3,) case, and
+    SE3Pose holds one such row.
+  * quaternions (w, x, y, z) appear only inside log, through to_quat, which
+    reads the rotation angle from one (Shepperd's method, accurate up to pi)
   * se(3) tangents are 6-vectors (v, w): translation first, rotation second
   * pixel coordinates are (u, v) = (column, row), pixel centers at integers
-  * depth is parameterized as disparity (inverse depth) wherever optimized
+  * reproject takes the (H, W) depth Z on the pixel grid of `ray_grid`
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 Z_MIN = 1e-4  # points closer than this to the image plane are flagged invalid
 
@@ -29,17 +33,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     if not np.all((0.0 < n) & (n < np.inf)):
         raise ValueError(f"quaternion must be finite and nonzero, got {q}")
     return q / n
-
-
-def from_quat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of (w, x, y, z) quaternions (..., 4), normalized first."""
-    q = quat_normalize(q)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack([
-        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-    ], axis=-1).reshape(np.shape(w) + (3, 3))
 
 
 def to_quat(R: np.ndarray) -> np.ndarray:
@@ -156,7 +149,7 @@ class SE3Pose:
     """One rigid transform X' = R X + t: one row of the batched (N, 3, 3) + (N, 3) layout.
 
     The arrays are held as given, not copied, so a pose taken from a stored
-    batch is a view of its row. compose, inverse and apply run the batched ops on it.
+    batch is a view of its row. compose and apply run the batched ops on it.
     """
 
     rotation: np.ndarray  # (3, 3)
@@ -166,20 +159,9 @@ class SE3Pose:
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
         object.__setattr__(self, "trans", np.asarray(self.trans, dtype=np.float64))
 
-    @staticmethod
-    def identity() -> "SE3Pose":
-        return SE3Pose(np.eye(3), np.zeros(3))
-
-    @property
-    def quat(self) -> np.ndarray:
-        """(w, x, y, z), w >= 0, derived from the rotation on each read."""
-        return to_quat(self.rotation)
-
+    # perfbench/spans.py wraps compose and apply by name; perfbench/oracle.py calls matrix
     def compose(self, other: "SE3Pose") -> "SE3Pose":
         return SE3Pose(*compose(self.rotation, self.trans, other.rotation, other.trans))
-
-    def inverse(self) -> "SE3Pose":
-        return SE3Pose(*inverse(self.rotation, self.trans))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return act(self.rotation, self.trans, points)
@@ -189,36 +171,6 @@ class SE3Pose:
         T[:3, :3] = self.rotation
         T[:3, 3] = self.trans
         return T
-
-    @staticmethod
-    def from_matrix(T: np.ndarray) -> "SE3Pose":
-        T = np.asarray(T, dtype=np.float64)
-        return SE3Pose(T[:3, :3].copy(), T[:3, 3].copy())
-
-
-def se3_exp(tangent: np.ndarray) -> SE3Pose:
-    """Exponential map from a (v, w) 6-vector, used as the BA retraction."""
-    return SE3Pose(*exp(tangent))
-
-
-def se3_log(pose: SE3Pose) -> np.ndarray:
-    """Logarithm as a (v, w) 6-vector with |w| in [0, pi]."""
-    return log(pose.rotation, pose.trans)
-
-
-def se3_interpolate(a: SE3Pose, b: SE3Pose, tau: float) -> SE3Pose:
-    """Geodesic between two poses, tau in [0, 1]."""
-    delta = se3_log(b.compose(a.inverse()))
-    return se3_exp(tau * delta).compose(a)
-
-
-def rotation_angle_between(a: SE3Pose | np.ndarray, b: SE3Pose | np.ndarray) -> float:
-    """Geodesic rotation distance in degrees, in [0, 180]; a and b may be raw quaternions."""
-    qa = a.quat if isinstance(a, SE3Pose) else quat_normalize(a)
-    qb = b.quat if isinstance(b, SE3Pose) else quat_normalize(b)
-    qb = qb if np.dot(qa, qb) >= 0 else -qb
-    # |qa -+ qb| = 2 sin(theta / 4) and 2 cos(theta / 4): exact at 0, where an arccos is not
-    return float(np.degrees(4.0 * np.arctan2(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb))))
 
 
 @dataclass(frozen=True)
@@ -231,34 +183,23 @@ class PinholeIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        # each test is written so that NaN fails it too
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ConfigError(f"focal lengths must be finite and positive, got fx={self.fx}, "
+                              f"fy={self.fy}")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError(f"principal point ({self.cx}, {self.cy}) outside image "
-                             f"{self.width}x{self.height}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.fx, self.fy, self.cx, self.cy])
-
-    def with_params(self, params: np.ndarray) -> "PinholeIntrinsics":
-        fx, fy, cx, cy = [float(x) for x in params]
-        return PinholeIntrinsics(fx, fy, cx, cy, self.width, self.height)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0, self.cx], [0, self.fy, self.cy], [0, 0, 1.0]])
+            raise ConfigError(f"principal point ({self.cx}, {self.cy}) outside image "
+                              f"{self.width}x{self.height}")
 
 
 def heuristic_intrinsics(width: int, height: int) -> PinholeIntrinsics:
     """Uncalibrated-video initialization: fx = fy = (H + W) / 2, principal point centered."""
     f = (height + width) / 2.0
     return PinholeIntrinsics(f, f, width / 2.0, height / 2.0, width, height)
-
-
-def pixel_grid(intr: PinholeIntrinsics) -> np.ndarray:
-    """(H, W, 2) array of (u, v) pixel-center coordinates."""
-    u, v = np.meshgrid(np.arange(intr.width, dtype=np.float64),
-                       np.arange(intr.height, dtype=np.float64))
-    return np.stack([u, v], axis=-1)
 
 
 def ray_grid(intr: PinholeIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -294,44 +235,20 @@ def project(points: np.ndarray, intr: PinholeIntrinsics, z_min: float = Z_MIN):
     return _project_components(points[..., 0], points[..., 1], points[..., 2], intr, z_min)
 
 
-def _rays_and_depth(pixels, values, intr: PinholeIntrinsics, depth: bool = False):
-    """Normalized ray components (xn, yn) of (..., 2) pixels and the depth Z.
+def reproject(depth: np.ndarray, relative: SE3Pose, intr: PinholeIntrinsics):
+    """Dense correspondence field of a depth map: back-project -> rigid transform -> project.
 
-    values holds the disparity 1 / Z, or Z itself when depth is set.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if np.any(values <= 0):
-        raise ValueError(f"unproject requires strictly positive {'depth' if depth else 'disparity'}")
-    if pixels is None:
-        xn, yn = ray_grid(intr)
-    else:
-        pixels = np.asarray(pixels, dtype=np.float64)
-        xn = (pixels[..., 0] - intr.cx) / intr.fx
-        yn = (pixels[..., 1] - intr.cy) / intr.fy
-    return xn, yn, values if depth else 1.0 / values
-
-
-def unproject(pixels: np.ndarray, disparity: np.ndarray, intr: PinholeIntrinsics) -> np.ndarray:
-    """Back-project (..., 2) pixels at the given disparity into the camera frame."""
-    xn, yn, z = _rays_and_depth(pixels, disparity, intr)
-    return np.stack([xn * z, yn * z, z], axis=-1)
-
-
-def reproject(disparity: np.ndarray, relative: SE3Pose, intr: PinholeIntrinsics,
-              pixels: np.ndarray | None = None, *, depth: bool = False):
-    """Dense correspondence field: unproject -> rigid transform -> project.
-
-    disparity is (H, W); relative maps source-camera coords into the target
-    camera. With depth set, the first argument is the depth Z itself, so a
-    caller that holds depth skips the 1 / (1 / Z) round trip, which costs two
-    divides and moves Z in the last bit. Returns (correspondences (H, W, 2),
-    valid mask (H, W)).
+    depth is the (H, W) depth Z of every pixel center on `ray_grid`, strictly
+    positive; relative maps source-camera coords into the target camera.
+    Returns (correspondences (H, W, 2), valid mask (H, W)).
 
     The transform is applied per component, X_r = (R[r,0] xn + R[r,1] yn + R[r,2]) Z + t[r],
-    so with the default pixel grid the bracket is a separable (W,) + (H, 1) sum
-    and no (H, W, 3) array is built.
+    so the bracket is a separable (W,) + (H, 1) sum and no (H, W, 3) array is built.
     """
-    xn, yn, z = _rays_and_depth(pixels, disparity, intr, depth)
+    z = np.asarray(depth, dtype=np.float64)
+    if np.any(z <= 0):
+        raise ValueError("reproject requires strictly positive depth")
+    xn, yn = ray_grid(intr)
     R, t = relative.rotation, relative.trans
     X, Y, Z = ((R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z + t[r] for r in range(3))
     return _project_components(X, Y, Z, intr, Z_MIN)

@@ -103,7 +103,6 @@ class SceneSpec:
     width: int = 64
     seed: int = 0
     focal: float | None = None  # fx = fy; default 0.9 * max(W, H)
-    fps: float = 30.0
     occluders: int = 6  # number of small floating spheres
     texture_freq: float = 2.5
     pixel_noise: float = 0.0  # correspondence noise sigma, pixels
@@ -113,28 +112,19 @@ class SceneSpec:
     feature_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("frames", "seed"):
+        for name, least in (("frames", 2), ("height", 8), ("width", 8), ("seed", 0),
+                            ("occluders", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.frames < 2:
-            raise ConfigError(f"scene needs at least 2 frames, got {self.frames}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.trajectory not in ("orbit", "line", "rotate"):
             raise ConfigError(f"unknown trajectory type '{self.trajectory}'")
-        if self.height < 8 or self.width < 8:
-            raise ConfigError("scene resolution must be at least 8x8")
         # each test is written so that NaN fails it too
         for name in ("pixel_noise", "prior_noise", "feature_noise"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not math.isfinite(self.texture_freq):
             raise ConfigError(f"texture_freq must be finite, got {self.texture_freq}")
-        if self.occluders < 0:
-            raise ConfigError(f"occluders must be >= 0, got {self.occluders}")
-        if not 0.0 < self.fps < math.inf:
-            raise ConfigError(f"fps must be finite and > 0, got {self.fps}")
         if self.focal is not None and not 0.0 < self.focal < math.inf:
             raise ConfigError(f"focal must be finite and > 0, got {self.focal}")
         lo, hi = self.prior_scale_range
@@ -198,8 +188,7 @@ class SyntheticScene:
         self._centers = centers
         self._R_w2c, self._t_w2c = inverse(self._R_c2w, centers)
         for a in (self._R_c2w, self._centers, self._R_w2c, self._t_w2c):
-            a.flags.writeable = False  # pose_c2w / pose_w2c hand out views of their rows
-        self._prior_affine = self._draw_prior_affine()
+            a.flags.writeable = False  # pose_c2w hands out views of its rows
         self._feature_mix = np.random.default_rng(
             np.random.SeedSequence([spec.seed, 777])).normal(size=(FEATURE_DIM, 6))
         self._depth_cache: OrderedDict[int, np.ndarray] = OrderedDict()
@@ -227,14 +216,14 @@ class SyntheticScene:
             forwards = np.stack([np.cos(yaw), np.sin(yaw), np.zeros(n)], axis=-1)
         return centers, forwards
 
-    def timestamp(self, k: int) -> float:
-        return k / self.spec.fps
+    def check_frame(self, k: int):
+        """Raise DataError unless k is an integer (not a bool) frame index of this scene."""
+        frames = self.spec.frames
+        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 0 <= k < frames:
+            raise DataError(f"frame {k!r} not in scene (0..{frames - 1})")
 
     def pose_c2w(self, k: int) -> SE3Pose:
         return SE3Pose(self._R_c2w[k], self._centers[k])
-
-    def pose_w2c(self, k: int) -> SE3Pose:
-        return SE3Pose(self._R_w2c[k], self._t_w2c[k])
 
     def relative_pose(self, i: int, j: int) -> SE3Pose:
         """Camera i's frame to camera j's, T_w2c[j] T_c2w[i], composed from the stored rows."""
@@ -409,18 +398,16 @@ class SyntheticScene:
 
     # -- prior corruption ---------------------------------------------------
 
-    def _draw_prior_affine(self):
-        lo_a, hi_a = self.spec.prior_scale_range
-        lo_b, hi_b = self.spec.prior_offset_range
-        out = []
-        for k in range(self.spec.frames):
-            rng = np.random.default_rng(np.random.SeedSequence([self.spec.seed, 1000 + k]))
-            out.append((float(rng.uniform(lo_a, hi_a)), float(rng.uniform(lo_b, hi_b))))
-        return out
-
     def prior_affine(self, k: int) -> tuple[float, float]:
-        """Ground-truth per-frame corruption (a_t, b_t) of the depth prior."""
-        return self._prior_affine[k]
+        """Ground-truth per-frame corruption (a_k, b_k) of the depth prior.
+
+        Drawn on each call from the stream (seed, 1000 + k), so frame k's pair
+        does not depend on which other frames were asked for.
+        """
+        self.check_frame(k)
+        rng = np.random.default_rng(np.random.SeedSequence([self.spec.seed, 1000 + k]))
+        (lo_a, hi_a), (lo_b, hi_b) = self.spec.prior_scale_range, self.spec.prior_offset_range
+        return float(rng.uniform(lo_a, hi_a)), float(rng.uniform(lo_b, hi_b))
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +451,14 @@ class SyntheticProviders:
     def __exit__(self, *exc):
         self.close()
 
-    def _check_frame(self, k: int):
-        if not (0 <= k < self.scene.spec.frames):
-            raise DataError(f"frame {k} not in scene (0..{self.scene.spec.frames - 1})")
-
     def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
         """Ground-truth reprojection targets i -> j with configured pixel noise.
 
         Weights are 1 on pixels of i whose surface point is visible in j and
         0 elsewhere; deterministic per (seed, i, j).
         """
-        self._check_frame(i)
-        self._check_frame(j)
+        self.scene.check_frame(i)
+        self.scene.check_frame(j)
         scene = self.scene
         sigma = scene.spec.pixel_noise
         drawn = None
@@ -490,8 +473,7 @@ class SyntheticProviders:
             else:
                 rng.standard_normal(out=noise)
         try:
-            target, valid = reproject(scene.depth(i), scene.relative_pose(i, j),
-                                      scene.intrinsics, depth=True)
+            target, valid = reproject(scene.depth(i), scene.relative_pose(i, j), scene.intrinsics)
             seen = valid & scene.visible_from(j, i)
             # two column writes: a broadcast bool -> float assignment is about 3x slower
             weight = np.empty(target.shape)
@@ -509,7 +491,7 @@ class SyntheticProviders:
 
     def provide_depth_prior(self, k: int) -> np.ndarray:
         """Disparity prior d* = a_k * d_true + b_k with multiplicative noise."""
-        self._check_frame(k)
+        self.scene.check_frame(k)
         scene = self.scene
         a, b = scene.prior_affine(k)
         d = a * scene.disparity(k) + b
@@ -520,7 +502,7 @@ class SyntheticProviders:
 
     def provide_place_feature(self, k: int) -> PlaceFeature:
         """Smooth unit-norm embedding of the true camera position/orientation."""
-        self._check_frame(k)
+        self.scene.check_frame(k)
         scene = self.scene
         fwd = scene.pose_c2w(k).rotation[:, 2]
         z = np.concatenate([scene.camera_center(k) / ORBIT_RADIUS, fwd])

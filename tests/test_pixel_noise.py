@@ -40,7 +40,7 @@ def new_threads(before):
 
 
 def noise_free_target(scene, i, j):
-    return reproject(scene.depth(i), scene.relative_pose(i, j), scene.intrinsics, depth=True)[0]
+    return reproject(scene.depth(i), scene.relative_pose(i, j), scene.intrinsics)[0]
 
 
 def expected_target(scene, i, j):

@@ -353,12 +353,13 @@ def test_dump_then_precomputed_equals_float32_cast(scene, tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("pixel_noise", -0.5), ("pixel_noise", math.nan), ("pixel_noise", math.inf),
     ("prior_noise", -0.05), ("prior_noise", math.nan), ("feature_noise", -1.0),
-    ("feature_noise", math.inf), ("occluders", -1), ("fps", 0.0), ("fps", -30.0),
-    ("fps", math.nan), ("focal", 0.0), ("focal", -40.0), ("focal", math.nan),
+    ("feature_noise", math.inf), ("occluders", -1), ("occluders", 2.5), ("occluders", True),
+    ("height", 48.0), ("width", 64.5), ("focal", 0.0), ("focal", -40.0), ("focal", math.nan),
     ("focal", math.inf), ("prior_scale_range", (2.0, 0.5)), ("prior_scale_range", (0.0, 1.0)),
     ("prior_scale_range", (-1.0, -0.5)), ("prior_scale_range", (1.0, math.nan)),
     ("prior_offset_range", (0.1, -0.1)), ("prior_offset_range", (-math.inf, 0.0)),
-    ("seed", -1), ("frames", 2.5), ("texture_freq", math.nan), ("texture_freq", math.inf),
+    ("seed", -1), ("frames", 2.5), ("frames", 1), ("height", 7), ("width", 7),
+    ("texture_freq", math.nan), ("texture_freq", math.inf),
 ], ids=str)
 def test_scene_spec_rejects_invalid_values(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -369,6 +370,31 @@ def test_scene_spec_accepts_boundary_values():
     spec = SceneSpec(pixel_noise=0.0, prior_noise=0.0, feature_noise=0.0, occluders=0,
                      focal=1e-3, prior_scale_range=(1e-3, 1e-3), prior_offset_range=(0.1, 0.1))
     SyntheticScene(spec)
+
+
+@pytest.mark.parametrize("call, args", [
+    ("provide_correspondences", (1.5, 2)), ("provide_correspondences", (True, 2)),
+    ("provide_correspondences", (2, np.float64(3.0))), ("provide_correspondences", (2, 12)),
+    ("provide_depth_prior", (2.0,)), ("provide_depth_prior", (-1,)),
+    ("provide_place_feature", (False,)),
+], ids=str)
+def test_synthetic_providers_reject_a_non_integral_bool_or_outside_frame(call, args):
+    providers = SyntheticProviders(SyntheticScene(SceneSpec(frames=12, height=8, width=8)))
+    with pytest.raises(DataError, match="not in scene"):
+        getattr(providers, call)(*args)
+
+
+def test_prior_affine_is_drawn_from_the_frames_own_stream():
+    spec = SceneSpec(frames=100, height=8, width=8, seed=4, prior_scale_range=(0.5, 2.0),
+                     prior_offset_range=(-0.3, 0.2))
+    scene = SyntheticScene(spec)
+    for k in (99, 0, 50):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1000 + k]))
+        assert scene.prior_affine(k) == (float(rng.uniform(0.5, 2.0)),
+                                         float(rng.uniform(-0.3, 0.2)))
+    for k in (-1, 100):
+        with pytest.raises(DataError):
+            scene.prior_affine(k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
