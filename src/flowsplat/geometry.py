@@ -7,10 +7,11 @@ Conventions used everywhere in this package:
     take any leading dimensions, so one pose is the (3, 3) + (3,) case, and
     SE3Pose holds one such row.
   * quaternions (w, x, y, z) appear only inside log, through to_quat, which
-    reads the rotation angle from one (Shepperd's method, accurate up to pi)
+    reads the rotation angle from one (Shepperd's method, accurate up to pi);
+    both raise DataError unless R is finite, orthonormal to ROTATION_TOL and det R > 0
   * se(3) tangents are 6-vectors (v, w): translation first, rotation second
   * pixel coordinates are (u, v) = (column, row), pixel centers at integers
-  * reproject takes the (H, W) depth Z on the pixel grid of `ray_grid`
+  * reproject takes the (H, W) depth Z > 0 on `ray_grid`'s pixel grid, else raises DataError
 """
 
 from __future__ import annotations
@@ -21,18 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 Z_MIN = 1e-4  # points closer than this to the image plane are flagged invalid
-
-
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Unit (w, x, y, z) quaternions, (..., 4); zero or non-finite ones raise ValueError."""
-    q = np.asarray(q, dtype=np.float64)
-    n = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-    if not np.all((0.0 < n) & (n < np.inf)):
-        raise ValueError(f"quaternion must be finite and nonzero, got {q}")
-    return q / n
+ROTATION_TOL = 1e-6  # largest |R^T R - I| entry that to_quat and log accept
 
 
 def to_quat(R: np.ndarray) -> np.ndarray:
@@ -43,6 +36,12 @@ def to_quat(R: np.ndarray) -> np.ndarray:
     4 q_k^2 keeps that row well conditioned at every angle, pi included.
     """
     R = np.asarray(R, dtype=np.float64)
+    # entries in [-1, 1] first (NaN fails too), so R^T R cannot warn on NaN, inf or overflow
+    if not np.all(np.abs(R) <= 1 + ROTATION_TOL):
+        raise DataError("rotation matrices must be finite, with entries in [-1, 1]")
+    if not (np.all(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)) <= ROTATION_TOL)
+            and np.all(np.linalg.det(R) > 0)):
+        raise DataError(f"not a rotation: |R^T R - I| > {ROTATION_TOL} or det R <= 0")
     # one contiguous (M,) array per entry: elementwise work on strided views is slower
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R.reshape(-1, 9).T.copy()
     a, b, c = r21 - r12, r02 - r20, r10 - r01
@@ -54,7 +53,8 @@ def to_quat(R: np.ndarray) -> np.ndarray:
         [c, f, g, 1 - r00 - r11 + r22],
     ])
     k = np.argmax(outer[[0, 1, 2, 3], [0, 1, 2, 3]], axis=0)
-    q = quat_normalize(outer[k, :, np.arange(len(k))])
+    q = outer[k, :, np.arange(len(k))]
+    q = q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
     return np.where(q[..., :1] < 0, -q, q).reshape(R.shape[:-2] + (4,))
 
 
@@ -213,42 +213,44 @@ def ray_grid(intr: PinholeIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     return xn, yn
 
 
-def _project_components(x, y, z, intr: PinholeIntrinsics, z_min: float):
+def _project_components(x, y, z, intr: PinholeIntrinsics):
     """Pinhole projection of camera-frame coordinates given as three arrays."""
     safe_z = np.where(np.abs(z) > 1e-300, z, 1e-300)
     u = intr.fx * x / safe_z + intr.cx
     v = intr.fy * y / safe_z + intr.cy
     pixels = np.stack([u, v], axis=-1)
     eps = 1e-9  # guards exact-boundary pixels against roundoff
-    valid = ((z > z_min) & (u >= -eps) & (u <= intr.width + eps)
+    valid = ((z > Z_MIN) & (u >= -eps) & (u <= intr.width + eps)
              & (v >= -eps) & (v <= intr.height + eps))
     return pixels, valid
 
 
-def project(points: np.ndarray, intr: PinholeIntrinsics, z_min: float = Z_MIN):
+def project(points: np.ndarray, intr: PinholeIntrinsics):
     """Pinhole projection of (..., 3) camera-frame points.
 
-    Returns (pixels (..., 2), valid (...,)). Points behind the z_min plane or
+    Returns (pixels (..., 2), valid (...,)). Points behind the Z_MIN plane or
     landing outside the image bounds are flagged invalid, never raised on.
     """
     points = np.asarray(points, dtype=np.float64)
-    return _project_components(points[..., 0], points[..., 1], points[..., 2], intr, z_min)
+    return _project_components(points[..., 0], points[..., 1], points[..., 2], intr)
 
 
 def reproject(depth: np.ndarray, relative: SE3Pose, intr: PinholeIntrinsics):
     """Dense correspondence field of a depth map: back-project -> rigid transform -> project.
 
-    depth is the (H, W) depth Z of every pixel center on `ray_grid`, strictly
-    positive; relative maps source-camera coords into the target camera.
+    depth is the finite, strictly positive (H, W) depth Z of every pixel center on
+    `ray_grid` (else DataError); relative maps source-camera coords into the target camera.
     Returns (correspondences (H, W, 2), valid mask (H, W)).
 
     The transform is applied per component, X_r = (R[r,0] xn + R[r,1] yn + R[r,2]) Z + t[r],
     so the bracket is a separable (W,) + (H, 1) sum and no (H, W, 3) array is built.
     """
     z = np.asarray(depth, dtype=np.float64)
-    if np.any(z <= 0):
-        raise ValueError("reproject requires strictly positive depth")
+    # shape first, so min and max never see an empty array; NaN fails either bound
+    if z.shape != (intr.height, intr.width) or not (0 < z.min() and z.max() < math.inf):
+        raise DataError(f"reproject needs finite, positive depth of shape "
+                        f"{(intr.height, intr.width)}, got shape {z.shape}")
     xn, yn = ray_grid(intr)
     R, t = relative.rotation, relative.trans
     X, Y, Z = ((R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z + t[r] for r in range(3))
-    return _project_components(X, Y, Z, intr, Z_MIN)
+    return _project_components(X, Y, Z, intr)

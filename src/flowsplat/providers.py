@@ -39,6 +39,7 @@ DSPT_VERSION = 1
 FEATURE_DIM = 64
 DEPTH_CACHE_FRAMES = 8  # SyntheticScene.depth keeps this many frames (0.6 MB each at 240x320)
 CONE_MARGIN = 1e-6  # rad; the view-cone cull keeps occluders this close to the cone
+TEXTURE_FREQ = 2.5  # spatial frequency of the outer sphere's texture
 # Noise values per edge from which SyntheticProviders draws them on its worker.
 # Handing a draw to the worker and back costs about 70 us. Per edge, inline vs
 # worker (timeit, min of 5 x 20 calls, 2-vCPU VM): 48x64 (6144 values) 240 vs
@@ -77,7 +78,7 @@ class PlaceFeature:
 
 
 class Providers(Protocol):
-    """The three provider roles; SyntheticProviders and PrecomputedProviders implement it."""
+    """The three provider roles; SyntheticProviders and PrecomputedProviders have no others."""
 
     def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
         """Dense targets and weights for edge i -> j."""
@@ -104,12 +105,10 @@ class SceneSpec:
     seed: int = 0
     focal: float | None = None  # fx = fy; default 0.9 * max(W, H)
     occluders: int = 6  # number of small floating spheres
-    texture_freq: float = 2.5
     pixel_noise: float = 0.0  # correspondence noise sigma, pixels
     prior_scale_range: tuple[float, float] = (1.0, 1.0)  # per-frame a_t
     prior_offset_range: tuple[float, float] = (0.0, 0.0)  # per-frame b_t
     prior_noise: float = 0.0  # multiplicative disparity noise sigma
-    feature_noise: float = 0.0
 
     def __post_init__(self):
         for name, least in (("frames", 2), ("height", 8), ("width", 8), ("seed", 0),
@@ -120,11 +119,9 @@ class SceneSpec:
         if self.trajectory not in ("orbit", "line", "rotate"):
             raise ConfigError(f"unknown trajectory type '{self.trajectory}'")
         # each test is written so that NaN fails it too
-        for name in ("pixel_noise", "prior_noise", "feature_noise"):
+        for name in ("pixel_noise", "prior_noise"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not math.isfinite(self.texture_freq):
-            raise ConfigError(f"texture_freq must be finite, got {self.texture_freq}")
         if self.focal is not None and not 0.0 < self.focal < math.inf:
             raise ConfigError(f"focal must be finite and > 0, got {self.focal}")
         lo, hi = self.prior_scale_range
@@ -172,17 +169,12 @@ class SyntheticScene:
                                             spec.width, spec.height)
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 101]))
         n = spec.occluders
-        if n > 0:
-            phi = rng.uniform(0, 2 * np.pi, size=n)
-            rad = rng.uniform(3.4, 4.6, size=n)
-            z = rng.uniform(-1.2, 1.2, size=n)
-            self.sphere_centers = np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
-            self.sphere_radii = rng.uniform(0.45, 0.8, size=n)
-            self.sphere_colors = rng.uniform(0.15, 0.85, size=(n, 3))
-        else:
-            self.sphere_centers = np.zeros((0, 3))
-            self.sphere_radii = np.zeros(0)
-            self.sphere_colors = np.zeros((0, 3))
+        phi = rng.uniform(0, 2 * np.pi, size=n)
+        rad = rng.uniform(3.4, 4.6, size=n)
+        z = rng.uniform(-1.2, 1.2, size=n)
+        self.sphere_centers = np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
+        self.sphere_radii = rng.uniform(0.45, 0.8, size=n)
+        self.sphere_colors = rng.uniform(0.15, 0.85, size=(n, 3))
         centers, forwards = self._trajectory()
         self._R_c2w = _look_at_c2w(forwards)
         self._centers = centers
@@ -230,9 +222,6 @@ class SyntheticScene:
         return SE3Pose(*compose(self._R_w2c[j], self._t_w2c[j],
                                 self._R_c2w[i], self._centers[i]))
 
-    def camera_center(self, k: int) -> np.ndarray:
-        return self._centers[k]
-
     # -- ray casting --------------------------------------------------------
 
     def _occluders_in_view(self, k: int) -> list[int]:
@@ -248,7 +237,7 @@ class SyntheticScene:
         half_angle = math.atan(max(
             math.hypot((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
             for u in (0.0, intr.width) for v in (0.0, intr.height)))
-        o = self.camera_center(k).tolist()
+        o = self._centers[k].tolist()
         axis = self._R_c2w[k, :, 2].tolist()
         keep = []
         for i, (c, r) in enumerate(zip(self.sphere_centers.tolist(), self.sphere_radii.tolist())):
@@ -276,7 +265,7 @@ class SyntheticScene:
         hit = np.flatnonzero(disc > 0)
         return hit, (-ocd[hit] - np.sqrt(disc[hit])) / dd[hit]
 
-    def _cast(self, origin: np.ndarray, dirs, occluders=None):
+    def _cast(self, origin: np.ndarray, dirs, occluders):
         """Nearest intersection along origin + s * (dx, dy, dz).
 
         dirs is the tuple of direction components, equal-shaped arrays. They may
@@ -284,10 +273,10 @@ class SyntheticScene:
         dirs (xn, yn, 1) it is the pinhole depth Z directly). Dot products are
         scalar x array sums over the components, and each occluder's root and
         nearest-hit update are evaluated only on the pixels where its
-        discriminant is positive. occluders lists the occluder indices to test,
-        default all of them; a caller passes fewer only when the others provably
-        miss every ray. Returns (s, object id), both shaped like the components,
-        with id -1 for the outer sphere, else occluder index.
+        discriminant is positive. occluders lists the occluder indices to test;
+        a caller may leave out only those that provably miss every ray. Returns
+        (s, object id), both shaped like the components, with id -1 for the
+        outer sphere, else occluder index.
         """
         dx, dy, dz = (np.ravel(d) for d in dirs)
         dd = dx * dx + dy * dy + dz * dz
@@ -297,8 +286,6 @@ class SyntheticScene:
         disc = od**2 - dd * (oo - OUTER_RADIUS**2)
         s_best = (-od + np.sqrt(np.maximum(disc, 0.0))) / dd
         obj = np.full(s_best.shape, -1, dtype=np.int64)
-        if occluders is None:
-            occluders = range(len(self.sphere_radii))
         for i in occluders:
             hit, s_hit = self._near_root(i, origin, dx, dy, dz, dd)
             closer = (s_hit > 1e-9) & (s_hit < s_best[hit])
@@ -316,7 +303,7 @@ class SyntheticScene:
         xn, yn = ray_grid(self.intrinsics)
         R = self._R_c2w[k]
         dirs = tuple(R[r, 0] * xn + R[r, 1] * yn + R[r, 2] for r in range(3))
-        return self.camera_center(k), dirs
+        return self._centers[k], dirs
 
     def depth(self, k: int) -> np.ndarray:
         """Exact per-pixel pinhole depth Z for frame k, as a read-only array.
@@ -339,7 +326,7 @@ class SyntheticScene:
         return 1.0 / self.depth(k)
 
     def _surface_color(self, pts: np.ndarray, obj: np.ndarray) -> np.ndarray:
-        fr = self.spec.texture_freq
+        fr = TEXTURE_FREQ
         u = pts / OUTER_RADIUS
         col = 0.5 + 0.22 * np.stack([
             np.sin(fr * 2.1 * np.pi * u[..., 0]) * np.cos(fr * 1.3 * np.pi * u[..., 1]),
@@ -386,7 +373,7 @@ class SyntheticScene:
             return np.ones(shape, dtype=bool)
         z = self.depth(i)
         origin_i, rays = self._camera_rays(i)
-        origin = self.camera_center(k)
+        origin = self._centers[k]
         delta = origin_i - origin
         dx, dy, dz = (np.ravel(z * rays[r] + delta[r]) for r in range(3))
         dd = dx * dx + dy * dy + dz * dz
@@ -430,26 +417,13 @@ class SyntheticProviders:
     the depth cache. Smaller edges draw inline, where the handoff costs more
     than the draw hides.
 
-    The worker starts at the first offloaded draw, never at construction.
-    `close()` (or leaving a `with` block) ends it, and so does dropping the
-    provider.
+    The worker starts at the first offloaded draw, never at construction, and
+    ends when the provider is dropped, through the executor's weakref callback.
     """
 
     def __init__(self, scene: SyntheticScene):
         self.scene = scene
         self._noise_pool: ThreadPoolExecutor | None = None
-
-    def close(self):
-        """End the noise worker, if one was started; a later offloaded edge starts another."""
-        if self._noise_pool is not None:
-            self._noise_pool.shutdown(wait=True)
-            self._noise_pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
         """Ground-truth reprojection targets i -> j with configured pixel noise.
@@ -504,12 +478,9 @@ class SyntheticProviders:
         """Smooth unit-norm embedding of the true camera position/orientation."""
         self.scene.check_frame(k)
         scene = self.scene
-        fwd = scene.pose_c2w(k).rotation[:, 2]
-        z = np.concatenate([scene.camera_center(k) / ORBIT_RADIUS, fwd])
+        pose = scene.pose_c2w(k)
+        z = np.concatenate([pose.trans / ORBIT_RADIUS, pose.rotation[:, 2]])
         raw = scene._feature_mix @ z
-        if scene.spec.feature_noise > 0:
-            rng = np.random.default_rng(np.random.SeedSequence([scene.spec.seed, 97, k]))
-            raw = raw + scene.spec.feature_noise * rng.normal(size=raw.shape)
         return PlaceFeature(raw / np.linalg.norm(raw), k)
 
 
@@ -532,7 +503,10 @@ def write_dspt(path: str | Path, array: np.ndarray) -> None:
 
 def read_dspt(path: str | Path) -> np.ndarray:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read DSPT tensor file ({exc.strerror})") from exc
     if len(raw) < 20 or raw[:4] != DSPT_MAGIC:
         raise DataError(f"{path}: not a DSPT tensor file")
     version, h, w, c = struct.unpack("<IIII", raw[4:20])
@@ -558,10 +532,7 @@ class PrecomputedProviders:
             raise DataError(f"provider directory {directory} does not exist")
 
     def _load(self, name: str) -> np.ndarray:
-        path = self.directory / name
-        if not path.exists():
-            raise DataError(f"missing provider tensor {path}")
-        return read_dspt(path)
+        return read_dspt(self.directory / name)
 
     def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
         data = self._load(f"flow_{i:06d}_{j:06d}.dspt")

@@ -36,18 +36,16 @@ def make_providers(pixel_noise):
 @pytest.mark.parametrize("pixel_noise", [0.0, 0.5])
 def test_oracle_passes_every_synthetic_delivery(oracle, pixel_noise):
     scene, prov = make_providers(pixel_noise)
-    with prov:
-        for i, j in EDGES:
-            assert oracle.edge_problems(scene, prov.provide_correspondences(i, j), i, j) == []
-        for k in FRAMES:
-            assert oracle.prior_problems(scene, k, prov.provide_depth_prior(k)) == []
-            assert oracle.feature_problems(prov.provide_place_feature(k), k) == []
+    for i, j in EDGES:
+        assert oracle.edge_problems(scene, prov.provide_correspondences(i, j), i, j) == []
+    for k in FRAMES:
+        assert oracle.prior_problems(scene, k, prov.provide_depth_prior(k)) == []
+        assert oracle.feature_problems(prov.provide_place_feature(k), k) == []
 
 
 def test_oracle_flags_shifted_targets_and_priors(oracle):
     scene, prov = make_providers(0.0)
-    with prov:
-        upd = prov.provide_correspondences(4, 6)
-        upd.target[..., 0] += 0.1
-        assert oracle.edge_problems(scene, upd, 4, 6)
-        assert oracle.prior_problems(scene, 3, prov.provide_depth_prior(3) * 1.01)
+    upd = prov.provide_correspondences(4, 6)
+    upd.target[..., 0] += 0.1
+    assert oracle.edge_problems(scene, upd, 4, 6)
+    assert oracle.prior_problems(scene, 3, prov.provide_depth_prior(3) * 1.01)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
-from flowsplat.errors import ConfigError
+from flowsplat.errors import ConfigError, DataError
 from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, act, compose, exp, inverse, log,
-                                project, quat_normalize, ray_grid, reproject, to_quat)
+                                project, ray_grid, reproject, to_quat)
 
 RNG = np.random.default_rng(7)
 
@@ -81,10 +81,17 @@ class TestSE3:
             assert abs(np.linalg.norm(to_quat(g.rotation)) - 1.0) < 1e-9
             assert np.abs(g.rotation.T @ g.rotation - np.eye(3)).max() < 1e-9
 
-    @pytest.mark.parametrize("quat", [np.zeros(4), [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]])
-    def test_rejects_zero_or_non_finite_quaternion(self, quat):
-        with pytest.raises(ValueError):
-            quat_normalize(np.asarray(quat))
+    @pytest.mark.parametrize("R", [
+        np.zeros((3, 3)), 2 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
+        np.diag([1.0, 1.0, 1.0 + 1e-5]), np.diag([1.0, np.nan, 1.0]), np.diag([np.inf, 1, 1]),
+        1e200 * np.eye(3), np.array([[0.6, 0.8, 0], [0.8, -0.6, 0], [0, 0, 1.0]]),
+    ], ids=["zeros", "2I", "reflection", "stretched", "nan", "inf", "huge", "tilted_reflection"])
+    def test_log_rejects_a_matrix_that_is_not_a_rotation(self, R):
+        with pytest.raises(DataError, match="rotation"):
+            log(R, np.zeros(3))
+        # one bad matrix in a batch fails the whole batch
+        with pytest.raises(DataError, match="rotation"):
+            log(np.stack([np.eye(3), R]), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("gap", [1e-5, 1e-9])
     def test_log_near_pi_matches_scipy_rotvec(self, gap):
@@ -212,11 +219,17 @@ class TestReproject:
 
     def test_rejects_nonpositive_depth(self):
         intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, np.nan, np.inf):
             depth = np.full((30, 32), 2.0)
             depth[3, 4] = bad
-            with pytest.raises(ValueError, match="depth"):
+            with pytest.raises(DataError, match="depth"):
                 reproject(depth, SE3Pose(np.eye(3), np.zeros(3)), intr)
+
+    @pytest.mark.parametrize("shape", [(1, 32), (30, 1), (32, 30), (), (30, 32, 1)], ids=str)
+    def test_rejects_depth_off_the_pixel_grid(self, shape):
+        intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
+        with pytest.raises(DataError, match="shape"):
+            reproject(np.full(shape, 2.0), SE3Pose(np.eye(3), np.zeros(3)), intr)
 
 
 def interpolate(a, b, tau):

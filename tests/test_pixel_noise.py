@@ -3,8 +3,8 @@
 Edges with at least NOISE_THREAD_MIN noise values have their draw run on one
 worker thread per provider while the calling thread does the geometry. These
 tests check the noise values bit for bit on both paths, and the worker's
-lifetime: none at construction, one per provider, ended by `close`, by the
-`with` block and by dropping the provider.
+lifetime: none at construction, one per provider, ended by dropping the
+provider, which has no other lifecycle.
 """
 
 import gc
@@ -60,10 +60,10 @@ def test_shapes_lie_on_both_sides_of_the_threshold():
 @pytest.mark.parametrize("shape", [INLINE, OFFLOADED], ids=["inline", "offloaded"])
 def test_noisy_target_is_reprojection_plus_seeded_noise_bit_for_bit(shape, trajectory):
     scene = make_scene(shape, trajectory=trajectory)
-    with SyntheticProviders(scene) as prov:
-        for i, j in EDGES:
-            target = prov.provide_correspondences(i, j).target
-            assert target.tobytes() == expected_target(scene, i, j).tobytes()
+    prov = SyntheticProviders(scene)
+    for i, j in EDGES:
+        target = prov.provide_correspondences(i, j).target
+        assert target.tobytes() == expected_target(scene, i, j).tobytes()
 
 
 @pytest.mark.parametrize("shape", [INLINE, OFFLOADED], ids=["inline", "offloaded"])
@@ -75,76 +75,48 @@ def test_noise_is_fixed_per_edge_and_seed_and_differs_across_them(shape):
         return (prov.provide_correspondences(i, j).target - np.where(finite, clean, 0.0))[finite]
 
     scene, other_seed = make_scene(shape, seed=0), make_scene(shape, seed=1)
-    with SyntheticProviders(scene) as prov, SyntheticProviders(other_seed) as other:
-        first = prov.provide_correspondences(3, 4)
-        again = prov.provide_correspondences(3, 4)
-        assert first.target.tobytes() == again.target.tobytes()
-        assert first.weight.tobytes() == again.weight.tobytes()
-        n34 = noise(scene, prov, 3, 4)
-        assert abs(n34.std() / SIGMA - 1.0) < 0.1
-        for i, j in [(4, 3), (3, 5), (5, 4)]:
-            assert not np.allclose(noise(scene, prov, i, j)[:100], n34[:100])
-        assert not np.allclose(noise(other_seed, other, 3, 4)[:100], n34[:100])
+    prov, other = SyntheticProviders(scene), SyntheticProviders(other_seed)
+    first = prov.provide_correspondences(3, 4)
+    again = prov.provide_correspondences(3, 4)
+    assert first.target.tobytes() == again.target.tobytes()
+    assert first.weight.tobytes() == again.weight.tobytes()
+    n34 = noise(scene, prov, 3, 4)
+    assert abs(n34.std() / SIGMA - 1.0) < 0.1
+    for i, j in [(4, 3), (3, 5), (5, 4)]:
+        assert not np.allclose(noise(scene, prov, i, j)[:100], n34[:100])
+    assert not np.allclose(noise(other_seed, other, 3, 4)[:100], n34[:100])
 
 
 def test_noise_free_scene_has_no_noise_and_no_worker():
     before = set(threading.enumerate())
     scene = make_scene(OFFLOADED, sigma=0.0)
-    with SyntheticProviders(scene) as prov:
-        target = prov.provide_correspondences(3, 4).target
-        assert not new_threads(before)
+    target = SyntheticProviders(scene).provide_correspondences(3, 4).target
+    assert not new_threads(before)
     clean = noise_free_target(scene, 3, 4)
     clean[~np.isfinite(clean)] = 0.0
     assert target.tobytes() == clean.tobytes()
 
 
 def test_construction_and_inline_edges_start_no_thread():
-    count = threading.active_count()
+    # compared as sets: a worker of an earlier test's dropped provider may end meanwhile
+    before = set(threading.enumerate())
     offloaded = SyntheticProviders(make_scene(OFFLOADED))
     inline = SyntheticProviders(make_scene(INLINE))
     for i, j in EDGES:
         inline.provide_correspondences(i, j)
-    assert threading.active_count() == count
-    offloaded.close()
-    inline.close()
+    assert not new_threads(before)
+    assert offloaded._noise_pool is None
 
 
 def test_offloaded_edges_start_one_worker_and_reuse_it():
     before = set(threading.enumerate())
-    with SyntheticProviders(make_scene(OFFLOADED)) as prov:
-        prov.provide_correspondences(*EDGES[0])
-        started = new_threads(before)
-        assert len(started) == 1
-        for i, j in EDGES[1:]:
-            prov.provide_correspondences(i, j)
-        assert new_threads(before) == started
-
-
-def test_close_ends_the_worker_and_may_be_called_twice():
-    before = set(threading.enumerate())
     prov = SyntheticProviders(make_scene(OFFLOADED))
-    first = prov.provide_correspondences(*EDGES[0])
-    (worker,) = new_threads(before)
-    prov.close()
-    assert not worker.is_alive()  # close waits for the worker to end
-    prov.close()
-    # a later offloaded edge starts a fresh worker and draws the same values
-    again = prov.provide_correspondences(*EDGES[0])
-    (fresh,) = new_threads(before)
-    assert fresh is not worker
-    assert again.target.tobytes() == first.target.tobytes()
-    prov.close()
-    fresh.join(JOIN_S)
-    assert not fresh.is_alive()
-
-
-def test_with_block_closes_the_provider():
-    before = set(threading.enumerate())
-    with SyntheticProviders(make_scene(OFFLOADED)) as prov:
-        prov.provide_correspondences(*EDGES[0])
-        (worker,) = new_threads(before)
-    worker.join(JOIN_S)
-    assert not worker.is_alive()
+    prov.provide_correspondences(*EDGES[0])
+    started = new_threads(before)
+    assert len(started) == 1
+    for i, j in EDGES[1:]:
+        prov.provide_correspondences(i, j)
+    assert new_threads(before) == started
 
 
 def test_dropping_the_provider_ends_the_worker():
@@ -176,12 +148,12 @@ def test_draw_is_awaited_when_the_geometry_raises(monkeypatch):
     monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
     monkeypatch.setattr(providers, "reproject", failing_reproject)
     scene = make_scene(OFFLOADED)
-    with SyntheticProviders(scene) as prov:
-        with pytest.raises(RuntimeError, match="reproject failed"):
-            prov.provide_correspondences(*EDGES[0])
-        assert len(submitted) == 1 and submitted[0].done()
-        monkeypatch.setattr(providers, "reproject", reproject)
-        target = prov.provide_correspondences(*EDGES[0]).target
+    prov = SyntheticProviders(scene)
+    with pytest.raises(RuntimeError, match="reproject failed"):
+        prov.provide_correspondences(*EDGES[0])
+    assert len(submitted) == 1 and submitted[0].done()
+    monkeypatch.setattr(providers, "reproject", reproject)
+    target = prov.provide_correspondences(*EDGES[0]).target
     assert target.tobytes() == expected_target(scene, *EDGES[0]).tobytes()
 
 
@@ -190,20 +162,20 @@ def test_offloaded_draws_equal_inline_ones_under_fast_thread_switching(monkeypat
     edges = [(i, j) for i in range(12) for j in range(12) if 0 < abs(i - j) <= 2]
     with monkeypatch.context() as patch:
         patch.setattr(providers, "NOISE_THREAD_MIN", math.inf)
-        with SyntheticProviders(scene) as inline:
-            reference = {e: inline.provide_correspondences(*e) for e in edges}
+        inline = SyntheticProviders(scene)
+        reference = {e: inline.provide_correspondences(*e) for e in edges}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with SyntheticProviders(scene) as prov:
-            served = 0
-            deadline = time.monotonic() + STRESS_S
-            while served < len(edges) or time.monotonic() < deadline:
-                e = edges[served % len(edges)]
-                upd = prov.provide_correspondences(*e)
-                assert upd.target.tobytes() == reference[e].target.tobytes(), e
-                assert upd.weight.tobytes() == reference[e].weight.tobytes(), e
-                served += 1
+        prov = SyntheticProviders(scene)
+        served = 0
+        deadline = time.monotonic() + STRESS_S
+        while served < len(edges) or time.monotonic() < deadline:
+            e = edges[served % len(edges)]
+            upd = prov.provide_correspondences(*e)
+            assert upd.target.tobytes() == reference[e].target.tobytes(), e
+            assert upd.weight.tobytes() == reference[e].weight.tobytes(), e
+            served += 1
     finally:
         sys.setswitchinterval(interval)
     assert served >= len(edges)

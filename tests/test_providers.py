@@ -1,6 +1,7 @@
 """Provider outputs checked against scalar oracles on the synthetic scene, and
 the validators and DSPT reader checked on malformed input."""
 
+import inspect
 import math
 import struct
 
@@ -13,7 +14,7 @@ from flowsplat.errors import ConfigError, DataError
 from flowsplat.geometry import Z_MIN
 from flowsplat.providers import (CONE_MARGIN, DEPTH_CACHE_FRAMES, DSPT_MAGIC, DSPT_VERSION,
                                  OUTER_RADIUS, CorrespondenceUpdate, PlaceFeature,
-                                 PrecomputedProviders, SceneSpec, SyntheticProviders,
+                                 PrecomputedProviders, Providers, SceneSpec, SyntheticProviders,
                                  SyntheticScene, _look_at_c2w, dump_providers, read_dspt,
                                  write_dspt)
 
@@ -91,7 +92,7 @@ def test_cast_matches_scalar_ray_loop(seed, origin, dirs):
     # inside an occluder, whose near root is then behind the ray
     scene = SyntheticScene(SceneSpec(frames=2, seed=seed, occluders=6))
     origin, d = np.array(origin), np.array(dirs)
-    s, obj = scene._cast(origin, (d[:, 0], d[:, 1], d[:, 2]))
+    s, obj = scene._cast(origin, (d[:, 0], d[:, 1], d[:, 2]), range(len(scene.sphere_radii)))
     assert s.shape == obj.shape == (len(dirs),)
     for n, ray in enumerate(d):
         s_ref, obj_ref = scalar_cast(scene, origin, ray)
@@ -192,7 +193,7 @@ def test_cull_at_the_cone_boundary_and_around_the_camera():
     half = cone_half_angle(scene)
     corner = math.atan2(H, W)  # azimuth of the image corner (W, H), where the cone touches
     edge = half + math.asin(radius / dist)
-    center = scene.camera_center(k)
+    center = scene.pose_c2w(k).trans
     cases = [  # (sphere center, radius, kept, hit by a grid ray)
         (sphere_at(scene, k, edge + 2 * CONE_MARGIN, corner, dist), radius, False, False),
         (sphere_at(scene, k, edge + 0.5 * CONE_MARGIN, corner, dist), radius, True, False),
@@ -270,7 +271,7 @@ def test_image_equals_color_of_the_unculled_cast(scene):
     on_occluder = 0
     for k in FRAMES:
         origin, dirs = scene._camera_rays(k)
-        s, obj = scene._cast(origin, dirs)
+        s, obj = scene._cast(origin, dirs, range(len(scene.sphere_radii)))
         pts = np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
         image = scene.image(k)
         assert image.shape == (H, W, 3)
@@ -352,14 +353,13 @@ def test_dump_then_precomputed_equals_float32_cast(scene, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("pixel_noise", -0.5), ("pixel_noise", math.nan), ("pixel_noise", math.inf),
-    ("prior_noise", -0.05), ("prior_noise", math.nan), ("feature_noise", -1.0),
-    ("feature_noise", math.inf), ("occluders", -1), ("occluders", 2.5), ("occluders", True),
-    ("height", 48.0), ("width", 64.5), ("focal", 0.0), ("focal", -40.0), ("focal", math.nan),
-    ("focal", math.inf), ("prior_scale_range", (2.0, 0.5)), ("prior_scale_range", (0.0, 1.0)),
-    ("prior_scale_range", (-1.0, -0.5)), ("prior_scale_range", (1.0, math.nan)),
+    ("prior_noise", -0.05), ("prior_noise", math.nan), ("occluders", -1), ("occluders", 2.5),
+    ("occluders", True), ("height", 48.0), ("width", 64.5), ("focal", 0.0), ("focal", -40.0),
+    ("focal", math.nan), ("focal", math.inf), ("prior_scale_range", (2.0, 0.5)),
+    ("prior_scale_range", (0.0, 1.0)), ("prior_scale_range", (-1.0, -0.5)),
+    ("prior_scale_range", (1.0, math.nan)),
     ("prior_offset_range", (0.1, -0.1)), ("prior_offset_range", (-math.inf, 0.0)),
     ("seed", -1), ("frames", 2.5), ("frames", 1), ("height", 7), ("width", 7),
-    ("texture_freq", math.nan), ("texture_freq", math.inf),
 ], ids=str)
 def test_scene_spec_rejects_invalid_values(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -367,9 +367,23 @@ def test_scene_spec_rejects_invalid_values(field, value):
 
 
 def test_scene_spec_accepts_boundary_values():
-    spec = SceneSpec(pixel_noise=0.0, prior_noise=0.0, feature_noise=0.0, occluders=0,
+    spec = SceneSpec(pixel_noise=0.0, prior_noise=0.0, occluders=0,
                      focal=1e-3, prior_scale_range=(1e-3, 1e-3), prior_offset_range=(0.1, 0.1))
     SyntheticScene(spec)
+
+
+def public_methods(cls):
+    """{name: parameter names} of the public functions defined on cls or its bases."""
+    return {name: list(inspect.signature(fn).parameters)
+            for name, fn in inspect.getmembers(cls, inspect.isfunction)
+            if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("cls", [SyntheticProviders, PrecomputedProviders],
+                         ids=lambda cls: cls.__name__)
+def test_providers_have_exactly_the_protocol_methods(cls):
+    assert len(public_methods(Providers)) == 3
+    assert public_methods(cls) == public_methods(Providers)
 
 
 @pytest.mark.parametrize("call, args", [
@@ -458,6 +472,18 @@ def test_read_dspt_casts_signalling_nan_to_nan(tmp_path):
     assert np.isnan(data[0, 0, 0]) and data[0, 1, 0] == 1.0
     with pytest.raises(DataError):
         PrecomputedProviders(tmp_path).provide_depth_prior(0)
+
+
+def test_read_dspt_raises_data_error_on_an_unreadable_path(tmp_path):
+    (tmp_path / "prior_000000.dspt").mkdir()
+    for path in (tmp_path / "missing.dspt", tmp_path / "prior_000000.dspt"):
+        with pytest.raises(DataError, match="cannot read"):
+            read_dspt(path)
+    precomputed = PrecomputedProviders(tmp_path)
+    with pytest.raises(DataError, match="cannot read"):
+        precomputed.provide_correspondences(0, 1)  # no such file
+    with pytest.raises(DataError, match="cannot read"):
+        precomputed.provide_depth_prior(0)  # a directory
 
 
 @st.composite
