@@ -4,6 +4,9 @@ the validators and DSPT reader checked on malformed input."""
 import inspect
 import math
 import struct
+import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -435,18 +438,42 @@ def test_place_feature_rejects_nan_or_non_unit_vector(vector):
         PlaceFeature(vector, 0)
 
 
+SNAN32 = 0x7F800001  # a float32 signalling NaN
+
+
+def write_raw_dspt(path, bits):
+    """A DSPT file holding the float32 bit patterns `bits`, an (H, W, C) integer array."""
+    bits = np.asarray(bits, dtype="<u4")
+    path.write_bytes(DSPT_MAGIC + struct.pack("<IIII", DSPT_VERSION, *bits.shape) + bits.tobytes())
+
+
+def assert_data_error_without_warning(call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError):
+            call(*args)
+
+
 def test_precomputed_rejects_nan_flow_weights(tmp_path):
     flow = np.zeros((4, 5, 4))
     flow[..., 2:] = np.nan
     write_dspt(tmp_path / "flow_000000_000001.dspt", flow)
+    precomputed = PrecomputedProviders(tmp_path)
     with pytest.raises(DataError):
-        PrecomputedProviders(tmp_path).provide_correspondences(0, 1)
+        precomputed.provide_correspondences(0, 1)
+    for j, channel in ((2, 0), (3, 3)):  # a signalling NaN in a target, then in a weight
+        bits = np.zeros((4, 5, 4), dtype="<u4")
+        bits[1, 2, channel] = SNAN32
+        write_raw_dspt(tmp_path / f"flow_000000_{j:06d}.dspt", bits)
+        assert_data_error_without_warning(precomputed.provide_correspondences, 0, j)
 
 
 def test_precomputed_rejects_all_zero_feature(tmp_path):
     write_dspt(tmp_path / "feat_000000.dspt", np.zeros((1, 1, 8)))
     with pytest.raises(DataError):
         PrecomputedProviders(tmp_path).provide_place_feature(0)
+    write_raw_dspt(tmp_path / "feat_000001.dspt", [[[0x3F800000, SNAN32, 0]]])
+    assert_data_error_without_warning(PrecomputedProviders(tmp_path).provide_place_feature, 1)
 
 
 @pytest.mark.parametrize("prior", [np.ones((4, 5, 2)), np.full((4, 5), np.nan),
@@ -464,14 +491,26 @@ def test_read_dspt_rejects_empty_dimension(tmp_path, shape):
         read_dspt(tmp_path / "empty.dspt")
 
 
-def test_read_dspt_casts_signalling_nan_to_nan(tmp_path):
-    path = tmp_path / "prior_000000.dspt"
-    path.write_bytes(DSPT_MAGIC + struct.pack("<IIII", DSPT_VERSION, 1, 2, 1)
-                     + struct.pack("<I", 0x7F800001) + struct.pack("<f", 1.0))
-    data = read_dspt(path)
-    assert np.isnan(data[0, 0, 0]) and data[0, 1, 0] == 1.0
-    with pytest.raises(DataError):
-        PrecomputedProviders(tmp_path).provide_depth_prior(0)
+def test_read_dspt_returns_signalling_nan_bits_as_stored(tmp_path):
+    write_raw_dspt(tmp_path / "prior_000000.dspt", [[[SNAN32], [0x3F800000]]])
+    data = read_dspt(tmp_path / "prior_000000.dspt")
+    assert data.dtype == np.float32 and data.shape == (1, 2, 1)
+    assert data.view("<u4").ravel().tolist() == [SNAN32, 0x3F800000]
+    assert_data_error_without_warning(PrecomputedProviders(tmp_path).provide_depth_prior, 0)
+
+
+@pytest.mark.parametrize("dims", [(2**32 - 1, 1, 1), (2**32 - 1,) * 3])
+def test_read_dspt_checks_the_file_size_before_allocating(tmp_path, dims):
+    path = tmp_path / "huge.dspt"
+    path.write_bytes(DSPT_MAGIC + struct.pack("<IIII", DSPT_VERSION, *dims) + bytes(64))
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        with pytest.raises(DataError, match="truncated"):
+            read_dspt(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_read_dspt_raises_data_error_on_an_unreadable_path(tmp_path):
@@ -484,6 +523,29 @@ def test_read_dspt_raises_data_error_on_an_unreadable_path(tmp_path):
         precomputed.provide_correspondences(0, 1)  # no such file
     with pytest.raises(DataError, match="cannot read"):
         precomputed.provide_depth_prior(0)  # a directory
+
+
+def test_write_dspt_raises_data_error_on_an_unwritable_path(tmp_path):
+    (tmp_path / "prior_000003.dspt").mkdir()
+    (tmp_path / "file").write_bytes(b"")
+    for path in (tmp_path / "prior_000003.dspt", tmp_path / "missing" / "x.dspt"):
+        with pytest.raises(DataError, match="cannot write"):
+            write_dspt(path, np.ones((2, 3)))
+    synthetic = SyntheticProviders(SyntheticScene(SceneSpec(frames=12, height=8, width=8)))
+    with pytest.raises(DataError, match="cannot write"):
+        dump_providers(synthetic, tmp_path, [3], [])  # the prior's file name is a directory
+    with pytest.raises(DataError, match="cannot create"):
+        dump_providers(synthetic, tmp_path / "file" / "sub", [3], [])
+
+
+@pytest.mark.parametrize("array", [np.array([["a", "b"]]), np.ones((2, 3), dtype=complex),
+                                   np.array([[None, 1.0]]),
+                                   np.zeros((2, 3), dtype="datetime64[s]")],
+                         ids=["str", "complex", "object", "datetime"])
+def test_write_dspt_rejects_a_non_real_dtype(tmp_path, array):
+    with pytest.raises(DataError, match="real numbers"):
+        write_dspt(tmp_path / "x.dspt", array)
+    assert not (tmp_path / "x.dspt").exists()
 
 
 @st.composite
@@ -510,3 +572,147 @@ def test_read_dspt_fuzz_returns_tensor_or_raises_data_error(tmp_path, raw):
         return
     assert data.ndim == 3 and 0 not in data.shape
     assert len(raw) == 20 + 4 * data.size
+
+
+# ---------------------------------------------------------------------------
+# the DSPT writer and reader against a float64-staging reference
+# ---------------------------------------------------------------------------
+# The reference concatenates, casts and widens whole tensors through float64.
+# Files and outputs must equal it bit for bit, compared as integer views, so
+# that NaN payloads and the sign of zero count.
+
+def reference_dspt_bytes(array):
+    array = np.asarray(array, dtype=np.float32)
+    if array.ndim == 2:
+        array = array[..., None]
+    header = DSPT_MAGIC + struct.pack("<IIII", DSPT_VERSION, *array.shape)
+    return header + array.astype("<f4").tobytes()
+
+
+class ReferencePrecomputed:
+    """PrecomputedProviders' outputs from each tensor widened to float64 as a whole."""
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def _load(self, name):
+        with np.errstate(invalid="ignore"):
+            return read_dspt(self.directory / name).astype(np.float64)
+
+    def provide_correspondences(self, i, j, snapshot=None):
+        data = self._load(f"flow_{i:06d}_{j:06d}.dspt")
+        return CorrespondenceUpdate((i, j), data[..., :2].copy(), np.clip(data[..., 2:4], 0.0, 1.0))
+
+    def provide_depth_prior(self, k):
+        data = self._load(f"prior_{k:06d}.dspt")
+        if not np.all(np.isfinite(data)):
+            raise DataError("non-finite prior")
+        return np.maximum(data[..., 0], 1e-6)
+
+    def provide_place_feature(self, k):
+        vec = self._load(f"feat_{k:06d}.dspt").reshape(-1)
+        n = np.linalg.norm(vec)
+        if not 0.0 < n < np.inf:
+            raise DataError("zero or non-finite feature")
+        return PlaceFeature(vec / n, k)
+
+
+def arrays_or_error(call, *args):
+    """The arrays one provider call returns, or the DataError it raises without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(*args)
+        except DataError as exc:
+            return exc
+    if isinstance(out, CorrespondenceUpdate):
+        return out.target, out.weight
+    return (out.vector,) if isinstance(out, PlaceFeature) else (out,)
+
+
+def same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    unsigned = f"<u{want.itemsize}"
+    assert np.array_equal(got.view(unsigned), want.view(unsigned))
+
+
+def f64_bits(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+F32 = np.finfo(np.float32)
+SPECIAL64 = [0.0, -0.0, float(F32.smallest_subnormal), -float(F32.smallest_subnormal), 5e-324,
+             -5e-324, 1e-40, math.nan, -math.nan, f64_bits(0x7FF8_0000_DEAD_BEEF),
+             f64_bits(0x7FF0_0000_0000_0001), math.inf, -math.inf, float(F32.max),
+             -float(F32.max), 1e39, 0.5, 1.0, 2.0]
+SPECIAL32 = [0, 0x8000_0000, 1, 0x8000_0001, 0x007F_FFFF, 0x7F7F_FFFF, 0xFF7F_FFFF, 0x7F80_0000,
+             0xFF80_0000, 0x7FC0_0000, 0xFFC0_0001, SNAN32, 0x3F80_0000, 0x3F00_0000, 0xBF80_0000]
+
+
+@st.composite
+def tensor(draw, elements, dtype, channels):
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = draw(st.lists(elements, min_size=h * w * channels, max_size=h * w * channels))
+    return np.array(values, dtype=dtype).reshape(h, w, channels)
+
+
+class FixedProviders:
+    """The given arrays as every frame's and edge's outputs, without validation."""
+
+    def __init__(self, target, weight, prior, feature):
+        self.target, self.weight, self.prior, self.feature = target, weight, prior, feature
+
+    def provide_correspondences(self, i, j, snapshot=None):
+        return SimpleNamespace(target=self.target, weight=self.weight)
+
+    def provide_depth_prior(self, k):
+        return self.prior
+
+    def provide_place_feature(self, k):
+        return SimpleNamespace(vector=self.feature)
+
+
+@pytest.mark.parametrize("target, weight", [((2, 3, 3), (2, 3, 3)), ((2, 3, 2), (2, 4, 2)),
+                                            ((2, 3), (2, 3))], ids=str)
+def test_dump_providers_rejects_a_flow_that_is_not_two_h_w_2_arrays(tmp_path, target, weight):
+    fixed = FixedProviders(np.zeros(target), np.zeros(weight), None, None)
+    with pytest.raises(DataError, match="must both be"):
+        dump_providers(fixed, tmp_path, [], [(0, 1)])
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flow=tensor(st.one_of(st.sampled_from(SPECIAL64), st.floats(), st.floats(width=32)),
+                   np.float64, 4),
+       dtype=st.sampled_from([np.float64, np.float32]), order=st.sampled_from("CF"))
+def test_dump_providers_writes_the_reference_bytes(tmp_path, flow, dtype, order):
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e39 overflows, signalling NaNs flag
+        target, weight = (np.asarray(flow[..., c:c + 2], dtype=dtype, order=order) for c in (0, 2))
+        prior, feature = np.asarray(flow[..., 0], dtype=dtype, order=order), flow[0, 0]
+        dump_providers(FixedProviders(target, weight, prior, feature), tmp_path, [0], [(0, 1)])
+        flow = np.concatenate([target, weight], axis=-1)
+        want = {"flow_000000_000001.dspt": reference_dspt_bytes(flow),
+                "prior_000000.dspt": reference_dspt_bytes(prior),
+                "feat_000000.dspt": reference_dspt_bytes(feature.reshape(1, 1, -1))}
+    for name, raw in want.items():
+        assert (tmp_path / name).read_bytes() == raw, name
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bits=tensor(st.one_of(st.sampled_from(SPECIAL32), st.integers(0, 2**32 - 1)), "<u4", 4))
+def test_precomputed_outputs_equal_the_reference_widening(tmp_path, bits):
+    write_raw_dspt(tmp_path / "flow_000000_000001.dspt", bits)
+    write_raw_dspt(tmp_path / "prior_000000.dspt", bits[..., :1])
+    write_raw_dspt(tmp_path / "feat_000000.dspt", bits.reshape(1, 1, -1))
+    same_bits(read_dspt(tmp_path / "flow_000000_000001.dspt"), bits.view("<f4"))
+    got, want = PrecomputedProviders(tmp_path), ReferencePrecomputed(tmp_path)
+    for call, args in (("provide_correspondences", (0, 1)), ("provide_depth_prior", (0,)),
+                       ("provide_place_feature", (0,))):
+        expect = arrays_or_error(getattr(want, call), *args)
+        result = arrays_or_error(getattr(got, call), *args)
+        assert isinstance(result, DataError) == isinstance(expect, DataError), call
+        if not isinstance(expect, DataError):
+            for array, reference in zip(result, expect, strict=True):
+                assert array.flags.c_contiguous, call
+                same_bits(array, reference)

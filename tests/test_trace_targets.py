@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from flowsplat import providers
+from flowsplat.providers import (PrecomputedProviders, SceneSpec, SyntheticProviders,
+                                 SyntheticScene, dump_providers)
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -35,3 +39,22 @@ def test_every_traced_function_exists_in_each_module_that_binds_it(spans):
         for module in modules:
             assert module.__name__.startswith("flowsplat.")
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_dspt_io_goes_through_the_module_functions_once_per_file(tmp_path, monkeypatch):
+    """The benchmark counts DSPT files by wrapping `read_dspt`/`write_dspt` in the module."""
+    calls = {"read_dspt": 0, "write_dspt": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(providers, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(providers, name, counted)
+    synthetic = SyntheticProviders(SyntheticScene(SceneSpec(frames=12, height=8, width=8)))
+    dump_providers(synthetic, tmp_path, [3], [(3, 4)])
+    assert calls == {"read_dspt": 0, "write_dspt": 3}
+    precomputed = PrecomputedProviders(tmp_path)
+    for call, args in (("provide_correspondences", (3, 4)), ("provide_depth_prior", (3,)),
+                       ("provide_place_feature", (3,))):
+        before = calls["read_dspt"]
+        getattr(precomputed, call)(*args)
+        assert calls["read_dspt"] == before + 1, call
