@@ -93,11 +93,13 @@ def exp(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta = _angle(w)
     small = theta < 1e-4  # below this, each series' next term is under 1e-18
     safe = np.where(small, 1.0, theta)
-    sin, sq = np.sin(safe), theta**2
+    # squares as products: a NumPy scalar's ** calls pow, which can round a
+    # square differently from the array loop, so one pose would not equal its batch row
+    sin, sq, safe_sq, half_sin = np.sin(safe), theta * theta, safe * safe, np.sin(0.5 * safe)
     A = np.where(small, 1 - sq / 6, sin / safe)
     # 1 - cos(theta) written as 2 sin^2(theta / 2), which does not cancel at small theta
-    B = np.where(small, 0.5 - sq / 24, 2 * np.sin(0.5 * safe) ** 2 / safe**2)
-    C = np.where(small, 1 / 6 - sq / 120, (safe - sin) / safe**3)
+    B = np.where(small, 0.5 - sq / 24, 2 * (half_sin * half_sin) / safe_sq)
+    C = np.where(small, 1 / 6 - sq / 120, (safe - sin) / (safe_sq * safe))
     A, B, C = A[..., None, None], B[..., None, None], C[..., None, None]
     W = hat(w)
     W2 = W @ W
@@ -122,7 +124,9 @@ def log(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     small = theta < 1e-4
     half = 0.5 * np.where(small, 1.0, theta)
     # V^-1 = I - W / 2 + D W^2 with D = (1 - (theta / 2) cot(theta / 2)) / theta^2
-    D = np.where(small, 1 / 12 + theta**2 / 720, (1 - half / np.tan(half)) / (2 * half) ** 2)
+    # squares as products, as in exp
+    D = np.where(small, 1 / 12 + theta * theta / 720,
+                 (1 - half / np.tan(half)) / ((2 * half) * (2 * half)))
     W = hat(w)
     V_inv = np.eye(3) - 0.5 * W + D[..., None, None] * (W @ W)
     return np.concatenate([_rotate(V_inv, np.asarray(t, dtype=np.float64)), w], axis=-1)
