@@ -4,14 +4,13 @@ Conventions used everywhere in this package:
   * poses are world-to-camera: X_cam = R @ X_world + t
   * N poses are one rotation array (N, 3, 3) plus one translation array
     (N, 3). exp, log, compose, inverse and act are the one pose algebra: they
-    take any leading dimensions, so one pose is the (3, 3) + (3,) case, and
-    SE3Pose holds one such row.
+    take any leading dimensions, so one pose is the (3, 3) + (3,) case
   * quaternions (w, x, y, z) appear only inside log, through to_quat, which
     reads the rotation angle from one (Shepperd's method, accurate up to pi);
     both raise DataError unless R is finite, orthonormal to ROTATION_TOL and det R > 0
   * se(3) tangents are 6-vectors (v, w): translation first, rotation second
   * pixel coordinates are (u, v) = (column, row), pixel centers at integers
-  * reproject takes the (H, W) depth Z > 0 on `ray_grid`'s pixel grid, else raises DataError
+  * reproject takes an (R, t) row and depth Z > 0 on `ray_grid`'s (H, W) grid, else DataError
 """
 
 from __future__ import annotations
@@ -150,20 +149,16 @@ def act(R: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SE3Pose:
-    """One rigid transform X' = R X + t: one row of the batched (N, 3, 3) + (N, 3) layout.
+    """One rigid transform X' = R X + t, held as the given (3, 3) + (3,) arrays.
 
-    The arrays are held as given, not copied, so a pose taken from a stored
-    batch is a view of its row. compose and apply run the batched ops on it.
+    Only `SyntheticScene.pose_c2w` builds one. It keeps what the benchmark pins by
+    name: perfbench/spans.py wraps compose and apply, perfbench/oracle.py calls
+    `pose_c2w(k).matrix()`. ROADMAP.md's benchmark item deletes the class.
     """
 
     rotation: np.ndarray  # (3, 3)
     trans: np.ndarray  # (3,)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
-        object.__setattr__(self, "trans", np.asarray(self.trans, dtype=np.float64))
-
-    # perfbench/spans.py wraps compose and apply by name; perfbench/oracle.py calls matrix
     def compose(self, other: "SE3Pose") -> "SE3Pose":
         return SE3Pose(*compose(self.rotation, self.trans, other.rotation, other.trans))
 
@@ -239,12 +234,12 @@ def project(points: np.ndarray, intr: PinholeIntrinsics):
     return _project_components(points[..., 0], points[..., 1], points[..., 2], intr)
 
 
-def reproject(depth: np.ndarray, relative: SE3Pose, intr: PinholeIntrinsics):
+def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntrinsics):
     """Dense correspondence field of a depth map: back-project -> rigid transform -> project.
 
     depth is the finite, strictly positive (H, W) depth Z of every pixel center on
-    `ray_grid` (else DataError); relative maps source-camera coords into the target camera.
-    Returns (correspondences (H, W, 2), valid mask (H, W)).
+    `ray_grid` (else DataError); the (3, 3) + (3,) pose (R, t) maps source-camera
+    coords into the target camera. Returns (correspondences (H, W, 2), valid mask (H, W)).
 
     The transform is applied per component, X_r = (R[r,0] xn + R[r,1] yn + R[r,2]) Z + t[r],
     so the bracket is a separable (W,) + (H, 1) sum and no (H, W, 3) array is built.
@@ -255,6 +250,5 @@ def reproject(depth: np.ndarray, relative: SE3Pose, intr: PinholeIntrinsics):
         raise DataError(f"reproject needs finite, positive depth of shape "
                         f"{(intr.height, intr.width)}, got shape {z.shape}")
     xn, yn = ray_grid(intr)
-    R, t = relative.rotation, relative.trans
     X, Y, Z = ((R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z + t[r] for r in range(3))
     return _project_components(X, Y, Z, intr)

@@ -80,6 +80,11 @@ class PlaceFeature:
             raise DataError(f"place feature for frame {self.frame} not unit norm ({n})")
 
 
+def _integer_at_least(value, least: int) -> bool:
+    """True for an integer value >= least; numpy integers count, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 class Providers(Protocol):
     """The three provider roles; SyntheticProviders and PrecomputedProviders have no others."""
 
@@ -117,7 +122,7 @@ class SceneSpec:
         for name, least in (("frames", 2), ("height", 8), ("width", 8), ("seed", 0),
                             ("occluders", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+            if not _integer_at_least(value, least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.trajectory not in ("orbit", "line", "rotate"):
             raise ConfigError(f"unknown trajectory type '{self.trajectory}'")
@@ -213,17 +218,18 @@ class SyntheticScene:
 
     def check_frame(self, k: int):
         """Raise DataError unless k is an integer (not a bool) frame index of this scene."""
-        frames = self.spec.frames
-        if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 0 <= k < frames:
-            raise DataError(f"frame {k!r} not in scene (0..{frames - 1})")
+        if not (_integer_at_least(k, 0) and k < self.spec.frames):
+            raise DataError(f"frame {k!r} not in scene (0..{self.spec.frames - 1})")
 
     def pose_c2w(self, k: int) -> SE3Pose:
+        self.check_frame(k)
         return SE3Pose(self._R_c2w[k], self._centers[k])
 
-    def relative_pose(self, i: int, j: int) -> SE3Pose:
-        """Camera i's frame to camera j's, T_w2c[j] T_c2w[i], composed from the stored rows."""
-        return SE3Pose(*compose(self._R_w2c[j], self._t_w2c[j],
-                                self._R_c2w[i], self._centers[i]))
+    def relative_pose(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Camera i's frame to camera j's as (R, t): T_w2c[j] T_c2w[i] of the stored rows."""
+        self.check_frame(i)
+        self.check_frame(j)
+        return compose(self._R_w2c[j], self._t_w2c[j], self._R_c2w[i], self._centers[i])
 
     # -- ray casting --------------------------------------------------------
 
@@ -313,6 +319,7 @@ class SyntheticScene:
 
         The last DEPTH_CACHE_FRAMES frames asked for are kept.
         """
+        self.check_frame(k)
         cache = self._depth_cache
         if k in cache:
             cache.move_to_end(k)
@@ -347,6 +354,7 @@ class SyntheticScene:
 
     def image(self, k: int) -> np.ndarray:
         """(H, W, 3) color image in [0, 1] for frame k."""
+        self.check_frame(k)
         origin, dirs = self._camera_rays(k)
         s, obj = self._cast(origin, dirs, self._occluders_in_view(k))
         pts = np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
@@ -354,6 +362,7 @@ class SyntheticScene:
 
     def world_points(self, k: int) -> np.ndarray:
         """(H, W, 3) world-space surface point seen by each pixel of frame k."""
+        self.check_frame(k)
         origin, dirs = self._camera_rays(k)
         s = self.depth(k)
         return np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
@@ -370,6 +379,8 @@ class SyntheticScene:
         (1e-9, 1 - 1e-6]. The outer sphere is not tested: every surface point
         lies on or inside it, so its root is never below 1 - 1e-6.
         """
+        self.check_frame(k)
+        self.check_frame(i)
         occluders = self._occluders_in_view(k)
         shape = (self.spec.height, self.spec.width)
         if not occluders:
@@ -434,9 +445,8 @@ class SyntheticProviders:
         Weights are 1 on pixels of i whose surface point is visible in j and
         0 elsewhere; deterministic per (seed, i, j).
         """
-        self.scene.check_frame(i)
-        self.scene.check_frame(j)
         scene = self.scene
+        R, t = scene.relative_pose(i, j)  # checks i and j before they seed the noise stream
         sigma = scene.spec.pixel_noise
         drawn = None
         if sigma > 0:
@@ -450,7 +460,7 @@ class SyntheticProviders:
             else:
                 rng.standard_normal(out=noise)
         try:
-            target, valid = reproject(scene.depth(i), scene.relative_pose(i, j), scene.intrinsics)
+            target, valid = reproject(scene.depth(i), R, t, scene.intrinsics)
             seen = valid & scene.visible_from(j, i)
             # two column writes: a broadcast bool -> float assignment is about 3x slower
             weight = np.empty(target.shape)
@@ -462,13 +472,10 @@ class SyntheticProviders:
         if sigma > 0:
             noise *= sigma
             target += noise
-        # out-of-view targets carry zero weight; keep values finite regardless
-        target[~np.isfinite(target)] = 0.0
         return CorrespondenceUpdate((i, j), target, weight)
 
     def provide_depth_prior(self, k: int) -> np.ndarray:
         """Disparity prior d* = a_k * d_true + b_k with multiplicative noise."""
-        self.scene.check_frame(k)
         scene = self.scene
         a, b = scene.prior_affine(k)
         d = a * scene.disparity(k) + b
@@ -479,10 +486,9 @@ class SyntheticProviders:
 
     def provide_place_feature(self, k: int) -> PlaceFeature:
         """Smooth unit-norm embedding of the true camera position/orientation."""
-        self.scene.check_frame(k)
         scene = self.scene
-        pose = scene.pose_c2w(k)
-        z = np.concatenate([pose.trans / ORBIT_RADIUS, pose.rotation[:, 2]])
+        scene.check_frame(k)  # the stored rows are indexed directly
+        z = np.concatenate([scene._centers[k] / ORBIT_RADIUS, scene._R_c2w[k, :, 2]])
         raw = scene._feature_mix @ z
         return PlaceFeature(raw / np.linalg.norm(raw), k)
 
@@ -557,15 +563,18 @@ class PrecomputedProviders:
         if not self.directory.is_dir():
             raise DataError(f"provider directory {directory} does not exist")
 
-    def _load(self, name: str) -> np.ndarray:
-        return read_dspt(self.directory / name)
+    def _load(self, name: str, *frames) -> np.ndarray:
+        """Read the file `name.format(*frames)`, once every frame index is an integer >= 0."""
+        if not all(_integer_at_least(k, 0) for k in frames):
+            raise DataError(f"frame indices {frames} must be integers >= 0")
+        return read_dspt(self.directory / name.format(*frames))
 
     # Each method widens the stored float32 values to float64. A signalling-NaN
     # payload flags "invalid" in that cast; the validators reject NaN, and the
     # prior is checked for NaN before its cast.
 
     def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
-        data = self._load(f"flow_{i:06d}_{j:06d}.dspt")
+        data = self._load("flow_{:06d}_{:06d}.dspt", i, j)
         if data.shape[2] != 4:
             raise DataError(f"flow tensor for edge ({i},{j}) must have 4 channels")
         pairs = _channel_pairs(data)
@@ -576,13 +585,13 @@ class PrecomputedProviders:
         return CorrespondenceUpdate((i, j), target, weight)
 
     def provide_depth_prior(self, k: int) -> np.ndarray:
-        data = self._load(f"prior_{k:06d}.dspt")
+        data = self._load("prior_{:06d}.dspt", k)
         if data.shape[2] != 1 or not np.all(np.isfinite(data)):
             raise DataError(f"prior tensor for frame {k} must be one channel of finite values")
         return np.maximum(data[..., 0], 1e-6, dtype=np.float64)
 
     def provide_place_feature(self, k: int) -> PlaceFeature:
-        data = self._load(f"feat_{k:06d}.dspt")
+        data = self._load("feat_{:06d}.dspt", k)
         with np.errstate(invalid="ignore"):
             vec = data.reshape(-1).astype(np.float64)
         n = np.linalg.norm(vec)

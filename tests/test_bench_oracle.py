@@ -2,8 +2,9 @@
 
 The oracle reads the scene through `pose_c2w(k).matrix()`, `depth`,
 `prior_affine` and `intrinsics`. It is loaded read-only from its file and run
-on one small scene, so a change to those that breaks the benchmark's checks
-fails here too, not only in the benchmark's own suite.
+on the traffic of the benchmark's `tiny_graph` workload (48x64 scenes on its
+seeds, window +-4), so a change to those or to the providers that breaks the
+benchmark's checks fails here too, not only in the benchmark's own suite.
 """
 
 import importlib.util
@@ -14,8 +15,9 @@ import pytest
 from flowsplat.providers import SceneSpec, SyntheticProviders, SyntheticScene
 
 ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
-EDGES = [(4, 3), (4, 6), (5, 1), (5, 9)]
-FRAMES = [3, 4, 5]
+WINDOW = 4  # tiny_graph's window: edges (k, k +- 1..4)
+KEYFRAMES = range(4, 68, 9)  # interior keyframes, a benchmark pass's first and last included
+SEEDS = [1000, 3002, 7001, 10005]  # the benchmark's scene seeds: seed * 1000 + pass
 
 
 @pytest.fixture(scope="module")
@@ -26,19 +28,24 @@ def oracle():
     return module
 
 
-def make_providers(pixel_noise):
-    scene = SyntheticScene(SceneSpec(trajectory="line", frames=12, height=48, width=64, seed=1,
-                                     pixel_noise=pixel_noise, prior_scale_range=(0.5, 2.0),
+def make_providers(pixel_noise, trajectory="line", seed=1):
+    """A scene shaped like tiny_graph's: 100 frames at 48x64 with corrupted priors."""
+    scene = SyntheticScene(SceneSpec(trajectory=trajectory, frames=100, height=48, width=64,
+                                     seed=seed, pixel_noise=pixel_noise,
+                                     prior_scale_range=(0.5, 2.0),
                                      prior_offset_range=(-0.1, 0.1)))
     return scene, SyntheticProviders(scene)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trajectory", ["line", "orbit"])
 @pytest.mark.parametrize("pixel_noise", [0.0, 0.5])
-def test_oracle_passes_every_synthetic_delivery(oracle, pixel_noise):
-    scene, prov = make_providers(pixel_noise)
-    for i, j in EDGES:
-        assert oracle.edge_problems(scene, prov.provide_correspondences(i, j), i, j) == []
-    for k in FRAMES:
+def test_oracle_passes_every_synthetic_delivery(oracle, pixel_noise, trajectory, seed):
+    scene, prov = make_providers(pixel_noise, trajectory, seed)
+    for k in KEYFRAMES:
+        for j in range(k - WINDOW, k + WINDOW + 1):
+            if j != k:
+                assert oracle.edge_problems(scene, prov.provide_correspondences(k, j), k, j) == []
         assert oracle.prior_problems(scene, k, prov.provide_depth_prior(k)) == []
         assert oracle.feature_problems(prov.provide_place_feature(k), k) == []
 

@@ -165,7 +165,7 @@ class TestReproject:
     def test_identity_transform_is_identity_map(self):
         intr = intr_100()
         depth = RNG.uniform(0.5, 5.0, size=(100, 100))
-        corr, ok = reproject(depth, SE3Pose(np.eye(3), np.zeros(3)), intr)
+        corr, ok = reproject(depth, np.eye(3), np.zeros(3), intr)
         assert ok.all()
         assert np.allclose(corr, pixel_centers(intr), atol=1e-12)
 
@@ -174,8 +174,7 @@ class TestReproject:
         # closed-form homography is a pure scaling about (cx, cy) by 2/1.5
         intr = intr_100()
         depth = np.full((100, 100), 2.0)
-        fwd = SE3Pose(np.eye(3), np.array([0, 0, -0.5]))
-        corr, ok = reproject(depth, fwd, intr)
+        corr, ok = reproject(depth, np.eye(3), np.array([0, 0, -0.5]), intr)
         scale = 2.0 / 1.5
         expect = (pixel_centers(intr) - [50, 50]) * scale + [50, 50]
         assert np.allclose(corr[ok], expect[ok], atol=1e-9)
@@ -185,8 +184,8 @@ class TestReproject:
         intr = PinholeIntrinsics(40.0, 44.0, 16.0, 15.0, 32, 30)
         depth = RNG.uniform(0.6, 3.0, size=(30, 32))
         g = random_pose(RNG, rot_scale=0.05, trans_scale=0.1)
-        corr, ok = reproject(depth, g, intr)
         R, t = g.rotation, g.trans
+        corr, ok = reproject(depth, R, t, intr)
         for v in range(0, 30, 3):
             for u in range(0, 32, 3):
                 z = depth[v, u]
@@ -209,7 +208,7 @@ class TestReproject:
         rng = np.random.default_rng(5)
         depth = rng.uniform(0.6, 3.0, size=(30, 32))
         g = random_pose(rng, rot_scale=0.2, trans_scale=0.5)
-        corr, ok = reproject(depth, g, intr)
+        corr, ok = reproject(depth, g.rotation, g.trans, intr)
         xn, yn = ray_grid(intr)
         points = np.stack(np.broadcast_arrays(xn, yn, 1.0), axis=-1) * depth[..., None]
         ref, ref_ok = project(act(g.rotation, g.trans, points), intr)
@@ -223,13 +222,13 @@ class TestReproject:
             depth = np.full((30, 32), 2.0)
             depth[3, 4] = bad
             with pytest.raises(DataError, match="depth"):
-                reproject(depth, SE3Pose(np.eye(3), np.zeros(3)), intr)
+                reproject(depth, np.eye(3), np.zeros(3), intr)
 
     @pytest.mark.parametrize("shape", [(1, 32), (30, 1), (32, 30), (), (30, 32, 1)], ids=str)
     def test_rejects_depth_off_the_pixel_grid(self, shape):
         intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
         with pytest.raises(DataError, match="shape"):
-            reproject(np.full(shape, 2.0), SE3Pose(np.eye(3), np.zeros(3)), intr)
+            reproject(np.full(shape, 2.0), np.eye(3), np.zeros(3), intr)
 
 
 def interpolate(a, b, tau):

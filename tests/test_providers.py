@@ -392,13 +392,81 @@ def test_providers_have_exactly_the_protocol_methods(cls):
 @pytest.mark.parametrize("call, args", [
     ("provide_correspondences", (1.5, 2)), ("provide_correspondences", (True, 2)),
     ("provide_correspondences", (2, np.float64(3.0))), ("provide_correspondences", (2, 12)),
+    ("provide_correspondences", (-1, 2)), ("provide_correspondences", (2, -1)),
     ("provide_depth_prior", (2.0,)), ("provide_depth_prior", (-1,)),
-    ("provide_place_feature", (False,)),
+    ("provide_place_feature", (False,)), ("provide_place_feature", (-1,)),
 ], ids=str)
 def test_synthetic_providers_reject_a_non_integral_bool_or_outside_frame(call, args):
-    providers = SyntheticProviders(SyntheticScene(SceneSpec(frames=12, height=8, width=8)))
+    # with pixel noise on, a frame index that reached the noise stream's SeedSequence
+    # would raise a bare ValueError there instead
+    providers = SyntheticProviders(SyntheticScene(SceneSpec(frames=12, height=8, width=8,
+                                                            pixel_noise=0.5)))
     with pytest.raises(DataError, match="not in scene"):
         getattr(providers, call)(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    ("depth", (-1,)), ("depth", (100,)), ("depth", (True,)), ("depth", (np.float64(2.0),)),
+    ("disparity", (-1,)), ("image", (100,)), ("image", (-1,)), ("world_points", (1.5,)),
+    ("world_points", (-1,)), ("visible_from", (2, -1)), ("visible_from", (-1, 2)),
+    ("visible_from", (2, True)), ("pose_c2w", (True,)), ("pose_c2w", (-1,)),
+    ("pose_c2w", (100,)), ("relative_pose", (-1, 2)), ("relative_pose", (2, 100)),
+    ("relative_pose", (2, False)), ("prior_affine", (np.bool_(True),)),
+], ids=str)
+def test_scene_methods_reject_a_non_integral_bool_or_outside_frame(call, args):
+    scene = SyntheticScene(SceneSpec(frames=100, height=8, width=8))
+    with pytest.raises(DataError, match="not in scene"):
+        getattr(scene, call)(*args)
+    assert not scene._depth_cache
+
+
+def test_scene_methods_take_numpy_integer_frames():
+    scene = SyntheticScene(SceneSpec(frames=100, height=8, width=8))
+    assert np.array_equal(scene.depth(np.int64(99)), scene.depth(99))
+    assert np.array_equal(scene.pose_c2w(np.int32(5)).matrix(), scene.pose_c2w(5).matrix())
+    for got, want in zip(scene.relative_pose(np.int64(3), np.uint8(7)), scene.relative_pose(3, 7)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("call, args", [
+    ("provide_correspondences", (1.0, 2)), ("provide_correspondences", (0, True)),
+    ("provide_correspondences", (-1, 2)), ("provide_depth_prior", (1.0,)),
+    ("provide_depth_prior", (True,)), ("provide_depth_prior", (-1,)),
+    ("provide_place_feature", (np.float64(1.0),)), ("provide_place_feature", (np.True_,)),
+], ids=str)
+def test_precomputed_rejects_a_non_integral_bool_or_negative_frame(tmp_path, call, args):
+    # the files that True would name exist, so only the index check can refuse the call
+    scene = SyntheticScene(SceneSpec(frames=4, height=8, width=8))
+    dump_providers(SyntheticProviders(scene), tmp_path, [0, 1], [(0, 1)])
+    precomputed = PrecomputedProviders(tmp_path)
+    with pytest.raises(DataError, match="must be integers >= 0"):
+        getattr(precomputed, call)(*args)
+    assert np.array_equal(precomputed.provide_depth_prior(np.int64(1)),
+                          precomputed.provide_depth_prior(1))
+
+
+def test_noisy_prior_is_the_affine_disparity_times_the_frames_seeded_lognormal():
+    sigma = 0.3
+    spec = SceneSpec(frames=12, height=H, width=W, seed=5, prior_scale_range=(0.5, 2.0),
+                     prior_offset_range=(-0.1, 0.1), prior_noise=sigma)
+    scene = SyntheticScene(spec)
+    providers = SyntheticProviders(scene)
+    noise = {}
+    for k in (3, 7):
+        a, b = scene.prior_affine(k)
+        affine = a * scene.disparity(k) + b
+        n = np.random.default_rng(np.random.SeedSequence([spec.seed, 63, k])).normal(size=(H, W))
+        prior = providers.provide_depth_prior(k)
+        assert prior.tobytes() == np.maximum(affine * np.exp(sigma * n), 1e-6).tobytes()
+        # fixed per (seed, k): again, and from a fresh scene with the same spec
+        assert providers.provide_depth_prior(k).tobytes() == prior.tobytes()
+        fresh = SyntheticProviders(SyntheticScene(spec)).provide_depth_prior(k)
+        assert fresh.tobytes() == prior.tobytes()
+        unfloored = prior > PRIOR_FLOOR
+        assert unfloored.mean() > 0.5
+        noise[k] = np.where(unfloored, np.log(prior / np.where(unfloored, affine, 1.0)), 0.0)
+        assert np.allclose(noise[k], np.where(unfloored, sigma * n, 0.0), atol=1e-12)
+    assert not np.allclose(noise[3], noise[7])
 
 
 def test_prior_affine_is_drawn_from_the_frames_own_stream():
