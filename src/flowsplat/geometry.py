@@ -27,6 +27,11 @@ Z_MIN = 1e-4  # points closer than this to the image plane are flagged invalid
 ROTATION_TOL = 1e-6  # largest |R^T R - I| entry that to_quat and log accept
 
 
+def _integer_at_least(value, least: int) -> bool:
+    """True for an integer value >= least; numpy integers count, bools do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 def to_quat(R: np.ndarray) -> np.ndarray:
     """Unit quaternions (..., 4), w >= 0, of rotation matrices (..., 3, 3).
 
@@ -184,7 +189,7 @@ class PinholeIntrinsics:
     def __post_init__(self):
         for name in ("width", "height"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value <= 0:
+            if not _integer_at_least(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         # each test is written so that NaN fails it too
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):

@@ -21,7 +21,6 @@ them to the float64 arrays that every provider hands out.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import struct
 from collections import OrderedDict
@@ -34,7 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 # project is not called here; perfbench/spans.py wraps it in this module by name
-from .geometry import PinholeIntrinsics, SE3Pose, compose, inverse, project, ray_grid, reproject
+from .geometry import (PinholeIntrinsics, SE3Pose, _integer_at_least, compose, inverse, project,
+                       ray_grid, reproject)
 
 DSPT_MAGIC = b"DSPT"
 DSPT_VERSION = 1
@@ -80,11 +80,6 @@ class PlaceFeature:
             raise DataError(f"place feature for frame {self.frame} not unit norm ({n})")
 
 
-def _integer_at_least(value, least: int) -> bool:
-    """True for an integer value >= least; numpy integers count, bools do not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-
-
 class Providers(Protocol):
     """The three provider roles; SyntheticProviders and PrecomputedProviders have no others."""
 
@@ -102,9 +97,9 @@ class Providers(Protocol):
 # synthetic scene
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
-    """Configuration of a synthetic ray-cast world and camera trajectory."""
+    """Frozen configuration of a synthetic ray-cast world and camera trajectory, validated once."""
 
     trajectory: str = "orbit"  # orbit | line | rotate
     frames: int = 100
@@ -173,8 +168,12 @@ class SyntheticScene:
     def __init__(self, spec: SceneSpec):
         self.spec = spec
         f = spec.focal if spec.focal is not None else 0.9 * max(spec.width, spec.height)
-        self.intrinsics = PinholeIntrinsics(f, f, spec.width / 2.0, spec.height / 2.0,
-                                            spec.width, spec.height)
+        intr = self.intrinsics = PinholeIntrinsics(f, f, spec.width / 2.0, spec.height / 2.0,
+                                                   spec.width, spec.height)
+        self._ray_grid = ray_grid(intr)
+        self._half_angle = math.atan(max(
+            math.hypot((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
+            for u in (0.0, intr.width) for v in (0.0, intr.height)))
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 101]))
         n = spec.occluders
         phi = rng.uniform(0, 2 * np.pi, size=n)
@@ -236,16 +235,12 @@ class SyntheticScene:
     def _occluders_in_view(self, k: int) -> list[int]:
         """Indices of the occluders that a ray of camera k's image can hit.
 
-        The image rectangle [0, W] x [0, H] lies in the circular cone about the
-        optical axis whose half-angle reaches its farthest corner. An occluder
+        The image rectangle [0, W] x [0, H] lies in the cone about the optical
+        axis whose half-angle `_half_angle` reaches its farthest corner. An occluder
         is kept when the camera is inside or on it, or when its angular disc,
         angle(c - o, axis) - asin(r / |c - o|), reaches that cone within
         CONE_MARGIN; any other occluder has no root at s > 0 along such a ray.
         """
-        intr = self.intrinsics
-        half_angle = math.atan(max(
-            math.hypot((u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy)
-            for u in (0.0, intr.width) for v in (0.0, intr.height)))
         o = self._centers[k].tolist()
         axis = self._R_c2w[k, :, 2].tolist()
         keep = []
@@ -257,7 +252,7 @@ class SyntheticScene:
                 continue
             along = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
             angle = math.atan2(math.hypot(*_cross(v, axis)), along)
-            if angle - math.asin(r / dist) <= half_angle + CONE_MARGIN:
+            if angle - math.asin(r / dist) <= self._half_angle + CONE_MARGIN:
                 keep.append(i)
         return keep
 
@@ -307,9 +302,9 @@ class SyntheticScene:
         """Camera k's center and the world-frame components of its pixel rays.
 
         The ray of pixel (u, v) is R_c2w @ (xn[u], yn[v], 1); each of its three
-        components is a separable (W,) + (H, 1) sum over `ray_grid`, shaped (H, W).
+        components is a separable (W,) + (H, 1) sum over the stored `_ray_grid`, shaped (H, W).
         """
-        xn, yn = ray_grid(self.intrinsics)
+        xn, yn = self._ray_grid
         R = self._R_c2w[k]
         dirs = tuple(R[r, 0] * xn + R[r, 1] * yn + R[r, 2] for r in range(3))
         return self._centers[k], dirs
@@ -362,9 +357,8 @@ class SyntheticScene:
 
     def world_points(self, k: int) -> np.ndarray:
         """(H, W, 3) world-space surface point seen by each pixel of frame k."""
-        self.check_frame(k)
+        s = self.depth(k)  # checks k
         origin, dirs = self._camera_rays(k)
-        s = self.depth(k)
         return np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
 
     def visible_from(self, k: int, i: int) -> np.ndarray:
@@ -380,12 +374,10 @@ class SyntheticScene:
         lies on or inside it, so its root is never below 1 - 1e-6.
         """
         self.check_frame(k)
-        self.check_frame(i)
         occluders = self._occluders_in_view(k)
-        shape = (self.spec.height, self.spec.width)
+        z = self.depth(i)  # checks i
         if not occluders:
-            return np.ones(shape, dtype=bool)
-        z = self.depth(i)
+            return np.ones(z.shape, dtype=bool)
         origin_i, rays = self._camera_rays(i)
         origin = self._centers[k]
         delta = origin_i - origin
@@ -395,7 +387,7 @@ class SyntheticScene:
         for n in occluders:
             hit, s = self._near_root(n, origin, dx, dy, dz, dd)
             visible[hit[(s > 1e-9) & (s <= 1.0 - 1e-6)]] = False
-        return visible.reshape(shape)
+        return visible.reshape(z.shape)
 
     # -- prior corruption ---------------------------------------------------
 
