@@ -32,6 +32,11 @@ def _integer_at_least(value, least: int) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
+def _real(value) -> bool:
+    """True for a real number; numpy floats and integers count, bools do not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def to_quat(R: np.ndarray) -> np.ndarray:
     """Unit quaternions (..., 4), w >= 0, of rotation matrices (..., 3, 3).
 
@@ -191,6 +196,9 @@ class PinholeIntrinsics:
             value = getattr(self, name)
             if not _integer_at_least(value, 1):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("fx", "fy", "cx", "cy"):
+            if not _real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
         # each test is written so that NaN fails it too
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise ConfigError(f"focal lengths must be finite and positive, got fx={self.fx}, "

@@ -33,13 +33,17 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 # project is not called here; perfbench/spans.py wraps it in this module by name
-from .geometry import (PinholeIntrinsics, SE3Pose, _integer_at_least, compose, inverse, project,
-                       ray_grid, reproject)
+from .geometry import (PinholeIntrinsics, SE3Pose, _integer_at_least, _real, compose, inverse,
+                       project, ray_grid, reproject)
 
 DSPT_MAGIC = b"DSPT"
 DSPT_VERSION = 1
+FLOW_FILE = "flow_{:06d}_{:06d}.dspt"  # file names, formatted with the edge (i, j) or frame k
+PRIOR_FILE = "prior_{:06d}.dspt"
+FEATURE_FILE = "feat_{:06d}.dspt"
 
 FEATURE_DIM = 64
+PRIOR_FLOOR = 1e-6  # least disparity that a depth prior hands out
 DEPTH_CACHE_FRAMES = 8  # SyntheticScene.depth keeps this many frames (0.6 MB each at 240x320)
 CONE_MARGIN = 1e-6  # rad; the view-cone cull keeps occluders this close to the cone
 TEXTURE_FREQ = 2.5  # spatial frequency of the outer sphere's texture
@@ -62,6 +66,11 @@ class CorrespondenceUpdate:
     weight: np.ndarray  # (H, W, 2) in [0, 1]
 
     def __post_init__(self):
+        shape = self.target.shape
+        if not (len(shape) == 3 and shape[2] == 2 and min(shape) >= 1
+                and self.weight.shape == shape):
+            raise DataError(f"edge {self.edge}: target and weight must both be (H, W, 2) with "
+                            f"H, W >= 1, got {shape} and {self.weight.shape}")
         if not np.all(np.isfinite(self.target)):
             raise DataError(f"non-finite correspondence target on edge {self.edge}")
         # written so that NaN weights fail too
@@ -123,16 +132,17 @@ class SceneSpec:
             raise ConfigError(f"unknown trajectory type '{self.trajectory}'")
         # each test is written so that NaN fails it too
         for name in ("pixel_noise", "prior_noise"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.focal is not None and not 0.0 < self.focal < math.inf:
-            raise ConfigError(f"focal must be finite and > 0, got {self.focal}")
-        lo, hi = self.prior_scale_range
-        if not 0.0 < lo <= hi < math.inf:
-            raise ConfigError(f"prior_scale_range must satisfy 0 < lo <= hi, got {(lo, hi)}")
-        lo, hi = self.prior_offset_range
-        if not -math.inf < lo <= hi < math.inf:
-            raise ConfigError(f"prior_offset_range must satisfy lo <= hi, got {(lo, hi)}")
+            value = getattr(self, name)
+            if not (_real(value) and 0.0 <= value < math.inf):
+                raise ConfigError(f"{name} must be a finite real >= 0, got {value!r}")
+        if self.focal is not None and not (_real(self.focal) and 0.0 < self.focal < math.inf):
+            raise ConfigError(f"focal must be a finite real > 0, got {self.focal!r}")
+        for name, least in (("prior_scale_range", 0.0), ("prior_offset_range", -math.inf)):
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(map(_real, pair))
+                    and least < pair[0] <= pair[1] < math.inf):
+                raise ConfigError(f"{name} must be a tuple (lo, hi) of reals with "
+                                  f"{least} < lo <= hi < inf, got {pair!r}")
 
 
 OUTER_RADIUS = 6.0
@@ -474,7 +484,7 @@ class SyntheticProviders:
         if scene.spec.prior_noise > 0:
             rng = np.random.default_rng(np.random.SeedSequence([scene.spec.seed, 63, k]))
             d = d * np.exp(scene.spec.prior_noise * rng.normal(size=d.shape))
-        return np.maximum(d, 1e-6)
+        return np.maximum(d, PRIOR_FLOOR)
 
     def provide_place_feature(self, k: int) -> PlaceFeature:
         """Smooth unit-norm embedding of the true camera position/orientation."""
@@ -566,7 +576,7 @@ class PrecomputedProviders:
     # prior is checked for NaN before its cast.
 
     def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
-        data = self._load("flow_{:06d}_{:06d}.dspt", i, j)
+        data = self._load(FLOW_FILE, i, j)
         if data.shape[2] != 4:
             raise DataError(f"flow tensor for edge ({i},{j}) must have 4 channels")
         pairs = _channel_pairs(data)
@@ -577,13 +587,13 @@ class PrecomputedProviders:
         return CorrespondenceUpdate((i, j), target, weight)
 
     def provide_depth_prior(self, k: int) -> np.ndarray:
-        data = self._load("prior_{:06d}.dspt", k)
+        data = self._load(PRIOR_FILE, k)
         if data.shape[2] != 1 or not np.all(np.isfinite(data)):
             raise DataError(f"prior tensor for frame {k} must be one channel of finite values")
-        return np.maximum(data[..., 0], 1e-6, dtype=np.float64)
+        return np.maximum(data[..., 0], PRIOR_FLOOR, dtype=np.float64)
 
     def provide_place_feature(self, k: int) -> PlaceFeature:
-        data = self._load("feat_{:06d}.dspt", k)
+        data = self._load(FEATURE_FILE, k)
         with np.errstate(invalid="ignore"):
             vec = data.reshape(-1).astype(np.float64)
         n = np.linalg.norm(vec)
@@ -601,9 +611,9 @@ def dump_providers(providers: Providers, directory: str | Path, frames: range | 
     except OSError as exc:
         raise DataError(f"{directory}: cannot create provider directory ({exc.strerror})") from exc
     for k in frames:
-        write_dspt(directory / f"prior_{k:06d}.dspt", providers.provide_depth_prior(k))
+        write_dspt(directory / PRIOR_FILE.format(k), providers.provide_depth_prior(k))
         feat = providers.provide_place_feature(k).vector
-        write_dspt(directory / f"feat_{k:06d}.dspt", feat.reshape(1, 1, -1))
+        write_dspt(directory / FEATURE_FILE.format(k), feat.reshape(1, 1, -1))
     for (i, j) in edges:
         upd = providers.provide_correspondences(i, j)
         target, weight = (np.ascontiguousarray(a, dtype=np.float64)
@@ -616,4 +626,4 @@ def dump_providers(providers: Providers, directory: str | Path, frames: range | 
         pairs = _channel_pairs(flow)
         pairs[..., :1] = _channel_pairs(target)
         pairs[..., 1:] = _channel_pairs(weight)
-        write_dspt(directory / f"flow_{i:06d}_{j:06d}.dspt", flow)
+        write_dspt(directory / FLOW_FILE.format(i, j), flow)

@@ -255,7 +255,7 @@ def test_intrinsics_invariants():
 
 @pytest.mark.parametrize("field, value", [
     ("fx", np.inf), ("fy", np.inf), ("fx", np.nan), ("width", 100.5), ("width", 100.0),
-    ("height", True), ("width", 0), ("height", -100),
+    ("height", True), ("width", 0), ("height", -100), ("fx", "a"), ("cx", None),
 ], ids=str)
 def test_intrinsics_reject_non_finite_focal_and_bad_sizes(field, value):
     params = dict(fx=100.0, fy=100.0, cx=0.5, cy=0.5, width=100, height=100)

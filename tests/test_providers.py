@@ -1,6 +1,7 @@
 """Provider outputs checked against scalar oracles on the synthetic scene, and
 the validators and DSPT reader checked on malformed input."""
 
+import dataclasses
 import inspect
 import math
 import struct
@@ -363,10 +364,22 @@ def test_dump_then_precomputed_equals_float32_cast(scene, tmp_path):
     ("prior_scale_range", (1.0, math.nan)),
     ("prior_offset_range", (0.1, -0.1)), ("prior_offset_range", (-math.inf, 0.0)),
     ("seed", -1), ("frames", 2.5), ("frames", 1), ("height", 7), ("width", 7),
+    ("prior_scale_range", (1, 2, 3)), ("prior_scale_range", None),
+    ("prior_offset_range", [-0.1, 0.1]), ("prior_offset_range", ("0", 1.0)),
+    ("pixel_noise", "0.5"), ("pixel_noise", True), ("prior_noise", "0.1"), ("focal", "40"),
 ], ids=str)
 def test_scene_spec_rejects_invalid_values(field, value):
     with pytest.raises(ConfigError, match=field):
         SceneSpec(**{field: value})
+
+
+def test_scene_spec_is_frozen_and_validated_again_on_replace():
+    spec = SceneSpec(frames=12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.frames = 200
+    with pytest.raises(ConfigError, match="frames"):
+        dataclasses.replace(spec, frames=1)
+    assert dataclasses.replace(spec, height=10).height == 10
 
 
 def test_scene_spec_accepts_boundary_values():
@@ -491,6 +504,15 @@ def test_correspondence_update_rejects_bad_weights(bad):
     weight[2, 3, 1] = bad
     with pytest.raises(DataError):
         CorrespondenceUpdate((0, 1), target, weight)
+
+
+@pytest.mark.parametrize("target_shape, weight_shape", [
+    ((4, 4, 2), (3, 4, 2)), ((4, 4, 2), (4, 4, 1)), ((4, 4), (4, 4)), ((4, 4, 3), (4, 4, 3)),
+    ((0, 4, 2), (0, 4, 2)), ((4, 0, 2), (4, 0, 2)), ((1, 4, 4, 2), (1, 4, 4, 2)),
+], ids=str)
+def test_correspondence_update_rejects_mismatched_or_empty_shapes(target_shape, weight_shape):
+    with pytest.raises(DataError, match="must both be"):
+        CorrespondenceUpdate((0, 1), np.zeros(target_shape), np.ones(weight_shape))
 
 
 def test_correspondence_update_rejects_non_finite_target():
