@@ -385,9 +385,10 @@ class SyntheticScene:
         """
         self.check_frame(k)
         occluders = self._occluders_in_view(k)
+        if not occluders:  # a constant mask: check i without ray-casting its depth
+            self.check_frame(i)
+            return np.ones((self.spec.height, self.spec.width), dtype=bool)
         z = self.depth(i)  # checks i
-        if not occluders:
-            return np.ones(z.shape, dtype=bool)
         origin_i, rays = self._camera_rays(i)
         origin = self._centers[k]
         delta = origin_i - origin

@@ -1,7 +1,9 @@
 """The package imports only the standard library and its declared runtime dependencies."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -37,4 +39,27 @@ def test_every_absolute_import_is_stdlib_or_a_declared_dependency():
         assert imports <= allowed, f"{path.name} imports undeclared {sorted(imports - allowed)}"
         seen |= imports
     # the walk did find the imports, so the check above is not vacuous
-    assert "numpy" in seen
+    assert {"numpy", "scipy"} <= seen
+
+
+SERVE_ONE_EDGE = """
+import sys
+import flowsplat
+from flowsplat.providers import SceneSpec, SyntheticProviders, SyntheticScene
+providers = SyntheticProviders(SyntheticScene(SceneSpec(frames=4, height=48, width=64,
+                                                        pixel_noise=0.5)))
+providers.provide_correspondences(1, 2)
+providers.provide_depth_prior(1)
+providers.provide_place_feature(1)
+print(sorted(name for name in sys.modules if name.startswith("scipy.spatial")))
+"""
+
+
+def test_serving_providers_does_not_import_scipy_spatial():
+    # log imports scipy.spatial.transform on its first call; a process that only
+    # serves providers must not pay its memory and import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", SERVE_ONE_EDGE], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

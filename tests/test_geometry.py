@@ -4,18 +4,17 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.transform import Rotation
 
 from flowsplat.errors import ConfigError, DataError
 from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, act, compose, exp, inverse, log,
-                                project, ray_grid, reproject, to_quat)
+                                project, ray_grid, reproject)
 
 RNG = np.random.default_rng(7)
 
 
 def random_pose(rng, rot_scale=1.0, trans_scale=1.0):
-    return SE3Pose(*exp(np.concatenate([rng.normal(size=3) * trans_scale,
-                                        rng.normal(size=3) * rot_scale])))
+    """One random pose as an (R, t) row."""
+    return exp(np.concatenate([rng.normal(size=3) * trans_scale, rng.normal(size=3) * rot_scale]))
 
 
 def angle_deg(Ra, Rb):
@@ -47,7 +46,7 @@ class TestSE3:
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_log_at_pi(self, axis):
-        # q_w is exactly 0 here, so the small-angle branch must not divide by it
+        # a half turn: w and -w are one rotation, so only |w| is pinned
         w = np.zeros(3)
         w[axis] = np.pi
         R = np.diag(np.where(np.arange(3) == axis, 1.0, -1.0))
@@ -59,27 +58,30 @@ class TestSE3:
             v = RNG.normal(size=6)
             v = v / np.linalg.norm(v) * RNG.uniform(0, np.pi / 2)
             assert np.allclose(log(*exp(v)), v, atol=1e-9)
+        # other leading shapes, an empty batch included, keep their shape
+        v = RNG.normal(size=(2, 3, 6)) * 0.5
+        assert np.allclose(log(*exp(v)), v, atol=1e-9)
+        assert log(*exp(np.zeros((0, 6)))).shape == (0, 6)
 
     def test_exp_matches_matrix_exponential(self):
         # independent oracle: scipy matrix exponential of the twist matrix
         for _ in range(20):
             tau = RNG.normal(size=6) * 0.8
             T_ref = scipy.linalg.expm(twist_matrix(tau))
-            assert np.allclose(SE3Pose(*exp(tau)).matrix(), T_ref, atol=1e-10)
+            assert np.allclose(matrices(*exp(tau)), T_ref, atol=1e-10)
 
     def test_compose_inverse_identity(self):
         for _ in range(20):
-            g = random_pose(RNG)
-            R, t = compose(*inverse(g.rotation, g.trans), g.rotation, g.trans)
+            Rg, tg = random_pose(RNG)
+            R, t = compose(*inverse(Rg, tg), Rg, tg)
             assert np.linalg.norm(t) < 1e-9
             assert angle_deg(R, np.eye(3)) < 1e-9
 
-    def test_quaternion_stays_unit(self):
-        g = SE3Pose(np.eye(3), np.zeros(3))
+    def test_composed_rotation_stays_orthonormal(self):
+        R, t = np.eye(3), np.zeros(3)
         for _ in range(200):
-            g = g.compose(random_pose(RNG, rot_scale=0.3))
-            assert abs(np.linalg.norm(to_quat(g.rotation)) - 1.0) < 1e-9
-            assert np.abs(g.rotation.T @ g.rotation - np.eye(3)).max() < 1e-9
+            R, t = compose(R, t, *random_pose(RNG, rot_scale=0.3))
+            assert np.abs(R.T @ R - np.eye(3)).max() < 1e-9
 
     @pytest.mark.parametrize("R", [
         np.zeros((3, 3)), 2 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
@@ -94,17 +96,17 @@ class TestSE3:
             log(np.stack([np.eye(3), R]), np.zeros((2, 3)))
 
     @pytest.mark.parametrize("gap", [1e-5, 1e-9])
-    def test_log_near_pi_matches_scipy_rotvec(self, gap):
-        # independent oracle: scipy's rotation matrix for w
+    def test_log_near_pi_matches_expm_rotation(self, gap):
+        # independent oracle: scipy's matrix exponential of w's twist matrix
         rng = np.random.default_rng(11)
         for _ in range(20):
             axis = rng.normal(size=3)
             w = (np.pi - gap) * axis / np.linalg.norm(axis)
-            R = Rotation.from_rotvec(w).as_matrix()
+            R = scipy.linalg.expm(twist_matrix(np.concatenate([np.zeros(3), w])))[:3, :3]
             assert np.abs(log(R, np.zeros(3))[3:] - w).max() < 1e-12
 
     def test_apply_matches_matrix(self):
-        g = random_pose(RNG)
+        g = SE3Pose(*random_pose(RNG))
         pts = RNG.normal(size=(17, 3))
         hom = np.concatenate([pts, np.ones((17, 1))], axis=1)
         ref = (g.matrix() @ hom.T).T[:, :3]
@@ -115,15 +117,15 @@ class TestRotationAngle:
     """The geodesic rotation angle read from log is a metric on rotations."""
 
     def test_same_rotation_zero(self):
-        g = random_pose(RNG)
-        assert angle_deg(g.rotation, g.rotation) == pytest.approx(0.0, abs=1e-9)
+        R, _ = random_pose(RNG)
+        assert angle_deg(R, R) == pytest.approx(0.0, abs=1e-9)
 
     def test_known_yaw(self):
         R, _ = exp(np.array([0, 0, 0, 0, np.radians(15.0), 0]))
         assert angle_deg(np.eye(3), R) == pytest.approx(15.0, abs=1e-9)
 
     def test_double_cover(self):
-        # theta about n and theta - 2 pi about n are one rotation, with quaternions q and -q
+        # theta about n and theta - 2 pi about n are one rotation
         w = RNG.normal(size=3)
         w *= 2.0 / np.linalg.norm(w)
         Ra, _ = exp(np.concatenate([np.zeros(3), w]))
@@ -132,7 +134,7 @@ class TestRotationAngle:
 
     def test_symmetry_and_triangle_inequality(self):
         for _ in range(100):
-            a, b, c = (random_pose(RNG).rotation for _ in range(3))
+            a, b, c = (random_pose(RNG)[0] for _ in range(3))
             dab = angle_deg(a, b)
             dba = angle_deg(b, a)
             assert dab == pytest.approx(dba, abs=1e-9)
@@ -183,8 +185,7 @@ class TestReproject:
     def test_matches_per_pixel_scalar_loop(self):
         intr = PinholeIntrinsics(40.0, 44.0, 16.0, 15.0, 32, 30)
         depth = RNG.uniform(0.6, 3.0, size=(30, 32))
-        g = random_pose(RNG, rot_scale=0.05, trans_scale=0.1)
-        R, t = g.rotation, g.trans
+        R, t = random_pose(RNG, rot_scale=0.05, trans_scale=0.1)
         corr, ok = reproject(depth, R, t, intr)
         for v in range(0, 30, 3):
             for u in range(0, 32, 3):
@@ -207,11 +208,11 @@ class TestReproject:
         intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
         rng = np.random.default_rng(5)
         depth = rng.uniform(0.6, 3.0, size=(30, 32))
-        g = random_pose(rng, rot_scale=0.2, trans_scale=0.5)
-        corr, ok = reproject(depth, g.rotation, g.trans, intr)
+        R, t = random_pose(rng, rot_scale=0.2, trans_scale=0.5)
+        corr, ok = reproject(depth, R, t, intr)
         xn, yn = ray_grid(intr)
         points = np.stack(np.broadcast_arrays(xn, yn, 1.0), axis=-1) * depth[..., None]
-        ref, ref_ok = project(act(g.rotation, g.trans, points), intr)
+        ref, ref_ok = project(act(R, t, points), intr)
         assert np.array_equal(ok, ref_ok)
         assert 0 < ok.sum() < ok.size
         assert np.allclose(corr, ref, rtol=1e-12, atol=1e-12)
@@ -232,18 +233,18 @@ class TestReproject:
 
 
 def interpolate(a, b, tau):
-    """Geodesic from pose a (tau = 0) to pose b (tau = 1): exp(tau log(b a^-1)) a."""
-    delta = log(*compose(b.rotation, b.trans, *inverse(a.rotation, a.trans)))
-    return SE3Pose(*compose(*exp(tau * delta), a.rotation, a.trans))
+    """Geodesic from (R, t) row a (tau = 0) to row b (tau = 1): exp(tau log(b a^-1)) a."""
+    delta = log(*compose(*b, *inverse(*a)))
+    return compose(*exp(tau * delta), *a)
 
 
 def test_geodesic_interpolation_endpoint_and_midpoint():
     a = random_pose(RNG)
     b = random_pose(RNG)
-    assert np.allclose(interpolate(a, b, 0.0).matrix(), a.matrix(), atol=1e-12)
-    assert np.allclose(interpolate(a, b, 1.0).matrix(), b.matrix(), atol=1e-9)
-    mid = interpolate(a, b, 0.5).rotation
-    assert angle_deg(mid, a.rotation) == pytest.approx(angle_deg(mid, b.rotation), abs=1e-7)
+    assert np.allclose(matrices(*interpolate(a, b, 0.0)), matrices(*a), atol=1e-12)
+    assert np.allclose(matrices(*interpolate(a, b, 1.0)), matrices(*b), atol=1e-9)
+    mid, _ = interpolate(a, b, 0.5)
+    assert angle_deg(mid, a[0]) == pytest.approx(angle_deg(mid, b[0]), abs=1e-7)
 
 
 def test_intrinsics_invariants():
@@ -281,7 +282,7 @@ def twists(draw, max_angle=np.pi - 1e-9):
 
 
 def matrices(R, t):
-    """(N, 4, 4) homogeneous matrices of a batch."""
+    """(..., 4, 4) homogeneous matrices of (R, t) rows."""
     T = np.zeros(R.shape[:-2] + (4, 4))
     T[..., :3, :3], T[..., :3, 3], T[..., 3, 3] = R, t, 1.0
     return T

@@ -433,6 +433,13 @@ def test_scene_methods_reject_a_non_integral_bool_or_outside_frame(call, args):
     assert not scene._depth_cache
 
 
+def test_visible_from_without_occluders_is_all_true_and_casts_no_depth():
+    scene = SyntheticScene(SceneSpec(frames=12, height=H, width=W, occluders=0))
+    mask = scene.visible_from(0, 5)
+    assert mask.shape == (H, W) and mask.all()
+    assert not scene._depth_cache
+
+
 def test_scene_methods_take_numpy_integer_frames():
     scene = SyntheticScene(SceneSpec(frames=100, height=8, width=8))
     assert np.array_equal(scene.depth(np.int64(99)), scene.depth(99))
