@@ -203,6 +203,16 @@ def ray_grid(intr: PinholeIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     return xn, yn
 
 
+def backproject(z, R: np.ndarray, t: np.ndarray, grid: tuple[np.ndarray, np.ndarray]):
+    """Components (X, Y, Z), each (H, W), of R (xn z, yn z, z) + t for (xn, yn) = grid.
+
+    grid is a `ray_grid` pair. X_r = (R[r,0] xn + R[r,1] yn + R[r,2]) z + t[r]:
+    the bracket is a separable (W,) + (H, 1) sum, so no (H, W, 3) array is built.
+    """
+    xn, yn = grid
+    return tuple((R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z + t[r] for r in range(3))
+
+
 def _project_components(x, y, z, intr: PinholeIntrinsics):
     """Pinhole projection of camera-frame coordinates given as three arrays."""
     safe_z = np.where(np.abs(z) > 1e-300, z, 1e-300)
@@ -231,15 +241,11 @@ def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntr
     depth is the finite, strictly positive (H, W) depth Z of every pixel center on
     `ray_grid` (else DataError); the (3, 3) + (3,) pose (R, t) maps source-camera
     coords into the target camera. Returns (correspondences (H, W, 2), valid mask (H, W)).
-
-    The transform is applied per component, X_r = (R[r,0] xn + R[r,1] yn + R[r,2]) Z + t[r],
-    so the bracket is a separable (W,) + (H, 1) sum and no (H, W, 3) array is built.
+    The transform is `backproject`'s, so no (H, W, 3) array is built.
     """
     z = np.asarray(depth, dtype=np.float64)
     # shape first, so min and max never see an empty array; NaN fails either bound
     if z.shape != (intr.height, intr.width) or not (0 < z.min() and z.max() < math.inf):
         raise DataError(f"reproject needs finite, positive depth of shape "
                         f"{(intr.height, intr.width)}, got shape {z.shape}")
-    xn, yn = ray_grid(intr)
-    X, Y, Z = ((R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z + t[r] for r in range(3))
-    return _project_components(X, Y, Z, intr)
+    return _project_components(*backproject(z, R, t, ray_grid(intr)), intr)

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 # project is not called here; perfbench/spans.py wraps it in this module by name
-from .geometry import (PinholeIntrinsics, SE3Pose, _integer_at_least, _real, compose, inverse,
-                       project, ray_grid, reproject)
+from .geometry import (PinholeIntrinsics, SE3Pose, _integer_at_least, _real, backproject, compose,
+                       inverse, project, ray_grid, reproject)
 
 DSPT_MAGIC = b"DSPT"
 DSPT_VERSION = 1
@@ -149,11 +149,6 @@ OUTER_RADIUS = 6.0
 ORBIT_RADIUS = 2.0
 
 
-def _cross(a, b) -> tuple[float, float, float]:
-    """a x b for two 3-sequences of floats, in np.cross's operation order."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def _look_at_c2w(forwards: np.ndarray) -> np.ndarray:
     """Camera-to-world rotations (N, 3, 3) of cameras looking along forwards (N, 3).
 
@@ -245,79 +240,68 @@ class SyntheticScene:
     def _occluders_in_view(self, k: int) -> list[int]:
         """Indices of the occluders that a ray of camera k's image can hit.
 
-        The image rectangle [0, W] x [0, H] lies in the cone about the optical
-        axis whose half-angle `_half_angle` reaches its farthest corner. An occluder
-        is kept when the camera is inside or on it, or when its angular disc,
-        angle(c - o, axis) - asin(r / |c - o|), reaches that cone within
-        CONE_MARGIN; any other occluder has no root at s > 0 along such a ray.
+        The image rectangle [0, W] x [0, H] lies in the cone about camera k's
+        z axis whose half-angle `_half_angle` reaches its farthest corner. An
+        occluder with centre c in camera k's frame is kept when the camera is
+        inside or on it, or when its angular disc, angle(c, z axis) - asin(r / |c|),
+        reaches that cone within CONE_MARGIN; any other occluder has no root at
+        s > 0 along such a ray.
         """
-        o = self._centers[k].tolist()
-        axis = self._R_c2w[k, :, 2].tolist()
+        (a, b, e), o = self._R_w2c[k].tolist(), self._centers[k].tolist()
         keep = []
         for i, (c, r) in enumerate(zip(self.sphere_centers.tolist(), self.sphere_radii.tolist())):
-            v = (c[0] - o[0], c[1] - o[1], c[2] - o[2])
-            dist = math.hypot(*v)
-            if dist <= r:
-                keep.append(i)
-                continue
-            along = v[0] * axis[0] + v[1] * axis[1] + v[2] * axis[2]
-            angle = math.atan2(math.hypot(*_cross(v, axis)), along)
-            if angle - math.asin(r / dist) <= self._half_angle + CONE_MARGIN:
+            v0, v1, v2 = c[0] - o[0], c[1] - o[1], c[2] - o[2]
+            x = a[0] * v0 + a[1] * v1 + a[2] * v2
+            y = b[0] * v0 + b[1] * v1 + b[2] * v2
+            z = e[0] * v0 + e[1] * v1 + e[2] * v2
+            dist = math.hypot(x, y, z)
+            if dist <= r or (math.atan2(math.hypot(x, y), z) - math.asin(r / dist)
+                             <= self._half_angle + CONE_MARGIN):
                 keep.append(i)
         return keep
 
-    def _near_root(self, i: int, origin: np.ndarray, dx, dy, dz, dd):
-        """Occluder i's near root along origin + s * (dx, dy, dz), where it exists.
+    def _centers_from(self, k: int, i: int) -> np.ndarray:
+        """(n, 3) occluder centres relative to camera k's centre, in camera i's frame."""
+        return (self.sphere_centers - self._centers[k]) @ self._R_w2c[i].T
 
-        dx, dy, dz are flat direction components and dd their squared norm.
-        Returns (flat indices where the discriminant is positive, s there).
+    def _cast(self, outer: np.ndarray, centers: np.ndarray, dirs, occluders):
+        """Nearest intersection along s * (dx, dy, dz) from the ray origin.
+
+        outer (3,) and centers (n, 3) are the spheres' centres relative to the
+        ray origin, in the frame of dirs, the direction components, which
+        broadcast together and may be unnormalized. With camera rays (xn, yn, 1)
+        from `_ray_grid`, s is the depth Z, and dd and each centre . direction
+        product are separable (W,) + (H, 1) sums. occluders lists the occluder
+        indices to test; a caller may leave out only those that miss every ray.
+        Returns (s, object id), shaped like the broadcast components, with id -1
+        for the outer sphere, else the occluder index.
         """
-        oc = origin - self.sphere_centers[i]
-        r = self.sphere_radii[i]
-        ocd = oc[0] * dx + oc[1] * dy + oc[2] * dz
-        disc = ocd**2 - dd * (float(oc @ oc) - r * r)
-        hit = np.flatnonzero(disc > 0)
-        return hit, (-ocd[hit] - np.sqrt(disc[hit])) / dd[hit]
-
-    def _cast(self, origin: np.ndarray, dirs, occluders):
-        """Nearest intersection along origin + s * (dx, dy, dz).
-
-        dirs is the tuple of direction components, equal-shaped arrays. They may
-        be unnormalized; the returned s is in units of dirs (so with camera-frame
-        dirs (xn, yn, 1) it is the pinhole depth Z directly). Dot products are
-        scalar x array sums over the components, and each occluder's root and
-        nearest-hit update are evaluated only on the pixels where its
-        discriminant is positive. occluders lists the occluder indices to test;
-        a caller may leave out only those that provably miss every ray. Returns
-        (s, object id), both shaped like the components, with id -1 for the
-        outer sphere, else occluder index.
-        """
-        dx, dy, dz = (np.ravel(d) for d in dirs)
+        dx, dy, dz = dirs
         dd = dx * dx + dy * dy + dz * dz
-        od = origin[0] * dx + origin[1] * dy + origin[2] * dz
-        oo = float(origin @ origin)
+        shape, dd = dd.shape, np.ravel(dd)
         # outer sphere: we are inside, take the positive root
-        disc = od**2 - dd * (oo - OUTER_RADIUS**2)
-        s_best = (-od + np.sqrt(np.maximum(disc, 0.0))) / dd
+        cd = np.ravel(outer[0] * dx + outer[1] * dy + outer[2] * dz)
+        disc = cd**2 - dd * (float(outer @ outer) - OUTER_RADIUS**2)
+        s_best = (cd + np.sqrt(np.maximum(disc, 0.0))) / dd
         obj = np.full(s_best.shape, -1, dtype=np.int64)
         for i in occluders:
-            hit, s_hit = self._near_root(i, origin, dx, dy, dz, dd)
+            (cx, cy, cz), r = centers[i], self.sphere_radii[i]
+            # dd r^2 - |c x d|^2 equals cd^2 - dd (|c|^2 - r^2) (Lagrange's identity) but
+            # does not cancel on grazing rays, where the near root is most sensitive to it
+            disc = dd * (r * r) - np.ravel((cy * dz - cz * dy)**2 + (cz * dx - cx * dz)**2
+                                           + (cx * dy - cy * dx)**2)
+            hit = np.flatnonzero(disc > 0)
+            s_hit = (np.ravel(cx * dx + cy * dy + cz * dz)[hit] - np.sqrt(disc[hit])) / dd[hit]
             closer = (s_hit > 1e-9) & (s_hit < s_best[hit])
             s_best[hit[closer]] = s_hit[closer]
             obj[hit[closer]] = i
-        shape = np.shape(dirs[0])
         return s_best.reshape(shape), obj.reshape(shape)
 
-    def _camera_rays(self, k: int):
-        """Camera k's center and the world-frame components of its pixel rays.
-
-        The ray of pixel (u, v) is R_c2w @ (xn[u], yn[v], 1); each of its three
-        components is a separable (W,) + (H, 1) sum over the stored `_ray_grid`, shaped (H, W).
-        """
+    def _cast_frame(self, k: int):
+        """(s, object id) of camera k's rays (xn, yn, 1), cast in camera k's frame."""
         xn, yn = self._ray_grid
-        R = self._R_c2w[k]
-        dirs = tuple(R[r, 0] * xn + R[r, 1] * yn + R[r, 2] for r in range(3))
-        return self._centers[k], dirs
+        return self._cast(self._t_w2c[k], self._centers_from(k, k), (xn, yn, 1.0),
+                          self._occluders_in_view(k))
 
     def depth(self, k: int) -> np.ndarray:
         """Exact per-pixel pinhole depth Z for frame k, as a read-only array.
@@ -329,8 +313,7 @@ class SyntheticScene:
         if k in cache:
             cache.move_to_end(k)
         else:
-            origin, dirs = self._camera_rays(k)
-            z = self._cast(origin, dirs, self._occluders_in_view(k))[0]
+            z = self._cast_frame(k)[0]
             z.flags.writeable = False
             cache[k] = z
             if len(cache) > DEPTH_CACHE_FRAMES:
@@ -360,16 +343,14 @@ class SyntheticScene:
     def image(self, k: int) -> np.ndarray:
         """(H, W, 3) color image in [0, 1] for frame k."""
         self.check_frame(k)
-        origin, dirs = self._camera_rays(k)
-        s, obj = self._cast(origin, dirs, self._occluders_in_view(k))
-        pts = np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
-        return self._surface_color(pts, obj)
+        s, obj = self._cast_frame(k)
+        pts = backproject(s, self._R_c2w[k], self._centers[k], self._ray_grid)
+        return self._surface_color(np.stack(pts, axis=-1), obj)
 
     def world_points(self, k: int) -> np.ndarray:
         """(H, W, 3) world-space surface point seen by each pixel of frame k."""
         s = self.depth(k)  # checks k
-        origin, dirs = self._camera_rays(k)
-        return np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
+        return np.stack(backproject(s, self._R_c2w[k], self._centers[k], self._ray_grid), axis=-1)
 
     def visible_from(self, k: int, i: int) -> np.ndarray:
         """(H, W) mask: True where no occluder lies between camera k's center and
@@ -377,11 +358,13 @@ class SyntheticScene:
 
         The mask is exact wherever `reproject`'s valid mask for the edge i -> k is
         set; elsewhere it may be either value, since a point outside camera k's
-        view is only tested against the occluders in that view. The segment
-        runs along z_i * ray_i + (c_i - c_k), from the cached depth of frame i,
-        and a pixel is occluded when some in-view occluder's near root s lies in
-        (1e-9, 1 - 1e-6]. The outer sphere is not tested: every surface point
-        lies on or inside it, so its root is never below 1 - 1e-6.
+        view is only tested against the occluders in that view. The test runs
+        in camera i's frame, on the segment from camera k's center o to the
+        point z * (xn, yn, 1) at frame i's cached depth z, and a pixel is
+        occluded when some in-view occluder's near root s lies in
+        (1e-9, 1 - 1e-6]. Only s against those bounds matters, so the discriminant
+        takes its plain form, not `_cast`'s. The outer sphere is not tested: every
+        surface point lies on or inside it, so its root is never below 1 - 1e-6.
         """
         self.check_frame(k)
         occluders = self._occluders_in_view(k)
@@ -389,14 +372,18 @@ class SyntheticScene:
             self.check_frame(i)
             return np.ones((self.spec.height, self.spec.width), dtype=bool)
         z = self.depth(i)  # checks i
-        origin_i, rays = self._camera_rays(i)
-        origin = self._centers[k]
-        delta = origin_i - origin
-        dx, dy, dz = (np.ravel(z * rays[r] + delta[r]) for r in range(3))
-        dd = dx * dx + dy * dy + dz * dz
+        xn, yn = self._ray_grid
+        o = self._R_w2c[i] @ (self._centers[k] - self._centers[i])
+        dx, dy, dz = z * xn - o[0], z * yn - o[1], z - o[2]
+        dd = np.ravel(dx * dx + dy * dy + dz * dz)
+        centers = self._centers_from(k, i)
         visible = np.ones(dd.shape, dtype=bool)
         for n in occluders:
-            hit, s = self._near_root(n, origin, dx, dy, dz, dd)
+            c, r = centers[n], self.sphere_radii[n]
+            cd = np.ravel(c[0] * dx + c[1] * dy + c[2] * dz)
+            disc = cd**2 - dd * (float(c @ c) - r * r)
+            hit = np.flatnonzero(disc > 0)
+            s = (cd[hit] - np.sqrt(disc[hit])) / dd[hit]
             visible[hit[(s > 1e-9) & (s <= 1.0 - 1e-6)]] = False
         return visible.reshape(z.shape)
 

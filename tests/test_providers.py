@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowsplat.errors import ConfigError, DataError
-from flowsplat.geometry import Z_MIN
+from flowsplat.geometry import Z_MIN, backproject
 from flowsplat.providers import (CONE_MARGIN, DEPTH_CACHE_FRAMES, DSPT_MAGIC, DSPT_VERSION,
                                  OUTER_RADIUS, CorrespondenceUpdate, PlaceFeature,
                                  PrecomputedProviders, Providers, SceneSpec, SyntheticProviders,
@@ -96,7 +96,8 @@ def test_cast_matches_scalar_ray_loop(seed, origin, dirs):
     # inside an occluder, whose near root is then behind the ray
     scene = SyntheticScene(SceneSpec(frames=2, seed=seed, occluders=6))
     origin, d = np.array(origin), np.array(dirs)
-    s, obj = scene._cast(origin, (d[:, 0], d[:, 1], d[:, 2]), range(len(scene.sphere_radii)))
+    s, obj = scene._cast(-origin, scene.sphere_centers - origin, (d[:, 0], d[:, 1], d[:, 2]),
+                         range(len(scene.sphere_radii)))
     assert s.shape == obj.shape == (len(dirs),)
     for n, ray in enumerate(d):
         s_ref, obj_ref = scalar_cast(scene, origin, ray)
@@ -274,9 +275,10 @@ def test_look_at_equals_np_cross_construction_bit_for_bit():
 def test_image_equals_color_of_the_unculled_cast(scene):
     on_occluder = 0
     for k in FRAMES:
-        origin, dirs = scene._camera_rays(k)
-        s, obj = scene._cast(origin, dirs, range(len(scene.sphere_radii)))
-        pts = np.stack([origin[r] + s * dirs[r] for r in range(3)], axis=-1)
+        xn, yn = scene._ray_grid
+        s, obj = scene._cast(scene._t_w2c[k], scene._centers_from(k, k), (xn, yn, 1.0),
+                             range(len(scene.sphere_radii)))
+        pts = np.stack(backproject(s, scene._R_c2w[k], scene._centers[k], scene._ray_grid), -1)
         image = scene.image(k)
         assert image.shape == (H, W, 3)
         assert np.array_equal(image, scene._surface_color(pts, obj))
