@@ -7,10 +7,13 @@ Conventions used everywhere in this package:
     take any leading dimensions, so one pose is the (3, 3) + (3,) case
   * rotations are (3, 3) matrices only: log reads its rotation vector from
     scipy's Rotation.from_matrix(...).as_rotvec(), and raises DataError unless
-    R is finite, orthonormal to ROTATION_TOL and det R > 0
+    R is finite, orthonormal to ROTATION_TOL and det R > 0, and t finite of
+    shape R.shape[:-2] + (3,)
   * se(3) tangents are 6-vectors (v, w): translation first, rotation second
   * pixel coordinates are (u, v) = (column, row), pixel centers at integers
-  * reproject takes an (R, t) row and depth Z > 0 on `ray_grid`'s (H, W) grid, else DataError
+  * reproject is `backproject`, the separable R (xn Z, yn Z, Z) + t over `ray_grid`'s
+    (H, W) grid, then the pinhole projection; it takes a finite (3, 3) + (3,) (R, t)
+    row and finite depth Z > 0 on that grid, else DataError
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ def log(R: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     w is scipy's rotation vector of R, Rotation.from_matrix(R).as_rotvec(), which
     stays accurate up to pi, where an arccos of the trace does not. R is checked
-    first: DataError unless it is finite, orthonormal to ROTATION_TOL and det R > 0.
+    first: DataError unless it is finite, orthonormal to ROTATION_TOL and det R > 0,
+    then t: DataError unless it is finite, of shape R.shape[:-2] + (3,).
     """
     R = np.asarray(R, dtype=np.float64)
     # entries in [-1, 1] first (NaN fails too), so R^T R cannot warn on NaN, inf or overflow
@@ -104,6 +108,10 @@ def log(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     if not (np.all(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)) <= ROTATION_TOL)
             and np.all(np.linalg.det(R) > 0)):
         raise DataError(f"not a rotation: |R^T R - I| > {ROTATION_TOL} or det R <= 0")
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != R.shape[:-2] + (3,) or not np.all(np.isfinite(t)):
+        raise DataError(f"translations must be finite, of shape {R.shape[:-2] + (3,)}, "
+                        f"got {t.shape}")
     # imported here: scipy.spatial adds ~37 MB and 0.3 s to a process that never calls log
     from scipy.spatial.transform import Rotation
     w = Rotation.from_matrix(R.reshape(-1, 3, 3)).as_rotvec().reshape(R.shape[:-1])
@@ -116,7 +124,7 @@ def log(R: np.ndarray, t: np.ndarray) -> np.ndarray:
                  (1 - half / np.tan(half)) / ((2 * half) * (2 * half)))
     W = hat(w)
     V_inv = np.eye(3) - 0.5 * W + D[..., None, None] * (W @ W)
-    return np.concatenate([_rotate(V_inv, np.asarray(t, dtype=np.float64)), w], axis=-1)
+    return np.concatenate([_rotate(V_inv, t), w], axis=-1)
 
 
 def compose(Ra: np.ndarray, ta: np.ndarray, Rb: np.ndarray, tb: np.ndarray):
@@ -239,10 +247,16 @@ def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntr
     """Dense correspondence field of a depth map: back-project -> rigid transform -> project.
 
     depth is the finite, strictly positive (H, W) depth Z of every pixel center on
-    `ray_grid` (else DataError); the (3, 3) + (3,) pose (R, t) maps source-camera
-    coords into the target camera. Returns (correspondences (H, W, 2), valid mask (H, W)).
+    `ray_grid`; the finite (3, 3) + (3,) pose (R, t) maps source-camera coords into
+    the target camera (else DataError). Returns (correspondences (H, W, 2), valid mask (H, W)).
     The transform is `backproject`'s, so no (H, W, 3) array is built.
     """
+    R, t = np.asarray(R, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    # shapes first; math.isfinite over tolist takes about 1 us, a third of np.isfinite twice
+    if not (R.shape == (3, 3) and t.shape == (3,)
+            and all(map(math.isfinite, R.ravel().tolist() + t.tolist()))):
+        raise DataError(f"reproject needs a finite (3, 3) rotation and (3,) translation, "
+                        f"got shapes {R.shape} and {t.shape}")
     z = np.asarray(depth, dtype=np.float64)
     # shape first, so min and max never see an empty array; NaN fails either bound
     if z.shape != (intr.height, intr.width) or not (0 < z.min() and z.max() < math.inf):

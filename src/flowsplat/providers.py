@@ -267,14 +267,14 @@ class SyntheticScene:
     def _cast(self, outer: np.ndarray, centers: np.ndarray, dirs, occluders):
         """Nearest intersection along s * (dx, dy, dz) from the ray origin.
 
-        outer (3,) and centers (n, 3) are the spheres' centres relative to the
-        ray origin, in the frame of dirs, the direction components, which
-        broadcast together and may be unnormalized. With camera rays (xn, yn, 1)
-        from `_ray_grid`, s is the depth Z, and dd and each centre . direction
-        product are separable (W,) + (H, 1) sums. occluders lists the occluder
-        indices to test; a caller may leave out only those that miss every ray.
-        Returns (s, object id), shaped like the broadcast components, with id -1
-        for the outer sphere, else the occluder index.
+        dirs holds direction components that broadcast together and may be
+        unnormalized; outer (3,) and centers (n, 3) are the outer sphere's and the
+        occluders' centres relative to the ray origin, in the frame of dirs. With
+        camera rays (xn, yn, 1) from `_ray_grid`, s is the depth Z, and dd and each
+        centre . direction product are separable (W,) + (H, 1) sums. occluders
+        lists the occluder indices to test; a caller may leave out only those that
+        provably miss every ray. Returns (s, object id), shaped like the broadcast
+        components, with id -1 for the outer sphere, else the occluder index.
         """
         dx, dy, dz = dirs
         dd = dx * dx + dy * dy + dz * dz
@@ -592,7 +592,14 @@ class PrecomputedProviders:
 
 def dump_providers(providers: Providers, directory: str | Path, frames: range | list,
                    edges: list[tuple[int, int]]) -> None:
-    """Write provider outputs as DSPT files usable by PrecomputedProviders."""
+    """Write provider outputs as DSPT files usable by PrecomputedProviders.
+
+    Every frame and edge index is checked as PrecomputedProviders reads it,
+    before any file is written (else DataError).
+    """
+    if not (all(_integer_at_least(k, 0) for k in frames)
+            and all(len(e) == 2 and all(_integer_at_least(k, 0) for k in e) for e in edges)):
+        raise DataError(f"frame indices {frames!r} and edges {edges!r} must be integers >= 0")
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -604,8 +611,8 @@ def dump_providers(providers: Providers, directory: str | Path, frames: range | 
         write_dspt(directory / FEATURE_FILE.format(k), feat.reshape(1, 1, -1))
     for (i, j) in edges:
         upd = providers.provide_correspondences(i, j)
-        target, weight = (np.ascontiguousarray(a, dtype=np.float64)
-                          for a in (upd.target, upd.weight))
+        target, weight = (np.ascontiguousarray(getattr(upd, name, None), dtype=np.float64)
+                          for name in ("target", "weight"))
         if target.ndim != 3 or target.shape[2] != 2 or weight.shape != target.shape:
             raise DataError(f"edge ({i},{j}): target and weight must both be (H, W, 2), "
                             f"got {target.shape} and {weight.shape}")

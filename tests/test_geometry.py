@@ -83,17 +83,22 @@ class TestSE3:
             R, t = compose(R, t, *random_pose(RNG, rot_scale=0.3))
             assert np.abs(R.T @ R - np.eye(3)).max() < 1e-9
 
-    @pytest.mark.parametrize("R", [
-        np.zeros((3, 3)), 2 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
-        np.diag([1.0, 1.0, 1.0 + 1e-5]), np.diag([1.0, np.nan, 1.0]), np.diag([np.inf, 1, 1]),
-        1e200 * np.eye(3), np.array([[0.6, 0.8, 0], [0.8, -0.6, 0], [0, 0, 1.0]]),
-    ], ids=["zeros", "2I", "reflection", "stretched", "nan", "inf", "huge", "tilted_reflection"])
-    def test_log_rejects_a_matrix_that_is_not_a_rotation(self, R):
-        with pytest.raises(DataError, match="rotation"):
-            log(R, np.zeros(3))
-        # one bad matrix in a batch fails the whole batch
-        with pytest.raises(DataError, match="rotation"):
-            log(np.stack([np.eye(3), R]), np.zeros((2, 3)))
+    @pytest.mark.parametrize("R, t, match", [
+        *((R, np.zeros(3), "rotation") for R in [
+            np.zeros((3, 3)), 2 * np.eye(3), np.diag([1.0, 1.0, -1.0]),
+            np.diag([1.0, 1.0, 1.0 + 1e-5]), np.diag([1.0, np.nan, 1.0]), np.diag([np.inf, 1, 1]),
+            1e200 * np.eye(3), np.array([[0.6, 0.8, 0], [0.8, -0.6, 0], [0, 0, 1.0]])]),
+        # and a rotation with a translation of the wrong shape, or not finite
+        *((np.eye(3), t, "translation") for t in [
+            np.zeros(4), np.zeros((1, 3)), np.array([0.0, np.nan, 0.0]), np.array([np.inf, 0, 0])]),
+    ], ids=["zeros", "2I", "reflection", "stretched", "nan", "inf", "huge", "tilted_reflection",
+            "t_of_4", "t_of_1x3", "nan_t", "inf_t"])
+    def test_log_rejects_a_matrix_that_is_not_a_rotation(self, R, t, match):
+        with pytest.raises(DataError, match=match):
+            log(R, t)
+        # one bad pose in a batch fails the whole batch
+        with pytest.raises(DataError, match=match):
+            log(np.stack([np.eye(3), R]), np.stack([np.zeros_like(t), t]))
 
     @pytest.mark.parametrize("gap", [1e-5, 1e-9])
     def test_log_near_pi_matches_expm_rotation(self, gap):
@@ -230,6 +235,16 @@ class TestReproject:
         intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
         with pytest.raises(DataError, match="shape"):
             reproject(np.full(shape, 2.0), np.eye(3), np.zeros(3), intr)
+
+    @pytest.mark.parametrize("R, t", [
+        (np.full((3, 3), np.nan), np.full(3, np.nan)), (np.eye(3), np.array([0.0, 0.0, np.inf])),
+        (np.diag([1.0, -np.inf, 1.0]), np.zeros(3)), (np.eye(3), np.zeros(4)),
+        (np.eye(2), np.zeros(3)), (np.eye(3), np.zeros((1, 3))), (np.eye(4)[:3], np.zeros(3)),
+    ], ids=["nan_pose", "inf_t", "inf_R", "t_of_4", "R_2x2", "t_of_1x3", "R_3x4"])
+    def test_rejects_a_malformed_pose(self, R, t):
+        intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
+        with pytest.raises(DataError, match="finite .* translation"):
+            reproject(np.full((30, 32), 2.0), R, t, intr)
 
 
 def interpolate(a, b, tau):

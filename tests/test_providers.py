@@ -272,6 +272,24 @@ def test_look_at_equals_np_cross_construction_bit_for_bit():
     assert fallback == 4
 
 
+def test_world_points_are_the_depth_back_projected_onto_a_surface(scene):
+    intr = scene.intrinsics
+    u, v = np.meshgrid(np.arange(W, dtype=float), np.arange(H, dtype=float))
+    on_occluder = 0
+    for k in FRAMES:
+        z, points = scene.depth(k), scene.world_points(k)
+        x_k = np.stack([(u - intr.cx) / intr.fx * z, (v - intr.cy) / intr.fy * z, z,
+                        np.ones_like(z)], axis=-1)
+        assert np.abs(points - (x_k @ scene.pose_c2w(k).matrix().T)[..., :3]).max() <= 1e-12
+        # every point lies on the outer sphere or on an occluder
+        gaps = np.stack([np.abs(np.linalg.norm(points, axis=-1) - OUTER_RADIUS)]
+                        + [np.abs(np.linalg.norm(points - c, axis=-1) - r)
+                           for c, r in zip(scene.sphere_centers, scene.sphere_radii)])
+        assert gaps.min(axis=0).max() <= 1e-9
+        on_occluder += int((gaps.argmin(axis=0) > 0).sum())
+    assert on_occluder > 0
+
+
 def test_image_equals_color_of_the_unculled_cast(scene):
     on_occluder = 0
     for k in FRAMES:
@@ -777,6 +795,29 @@ def test_dump_providers_rejects_a_flow_that_is_not_two_h_w_2_arrays(tmp_path, ta
     fixed = FixedProviders(np.zeros(target), np.zeros(weight), None, None)
     with pytest.raises(DataError, match="must both be"):
         dump_providers(fixed, tmp_path, [], [(0, 1)])
+
+
+@pytest.mark.parametrize("frames, edges", [([0, -1], []), ([0, True], []), ([0, 1.0], []),
+                                            ([0], [(0, 1), (1, -1)]), ([0], [(0, 1), (0, 1, 2)]),
+                                            ([0], [(0, 1), (np.int64(2), False)])],
+                         ids=["frame_-1", "frame_True", "frame_1.0", "edge_-1", "edge_of_3",
+                              "edge_False"])
+def test_dump_providers_refuses_unreadable_indices_before_writing_any_file(tmp_path, frames,
+                                                                            edges):
+    # each list starts with an index that PrecomputedProviders could read
+    fixed = FixedProviders(np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), np.ones((2, 3)), np.ones(4))
+    with pytest.raises(DataError, match="must be integers >= 0"):
+        dump_providers(fixed, tmp_path, frames, edges)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("delivery", [None, SimpleNamespace(target=np.zeros((2, 3, 2))),
+                                      SimpleNamespace(weight=np.zeros((2, 3, 2)))],
+                         ids=["None", "target_only", "weight_only"])
+def test_dump_providers_rejects_a_delivery_without_target_and_weight(tmp_path, delivery):
+    provider = SimpleNamespace(provide_correspondences=lambda i, j: delivery)
+    with pytest.raises(DataError, match="must both be"):
+        dump_providers(provider, tmp_path, [], [(0, 1)])
 
 
 @settings(max_examples=150, deadline=None, database=None,
