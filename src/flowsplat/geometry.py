@@ -7,8 +7,8 @@ Conventions used everywhere in this package:
     take any leading dimensions, so one pose is the (3, 3) + (3,) case
   * rotations are (3, 3) matrices only: log reads its rotation vector from
     scipy's Rotation.from_matrix(...).as_rotvec(), and raises DataError unless
-    R is finite, orthonormal to ROTATION_TOL and det R > 0, and t finite of
-    shape R.shape[:-2] + (3,)
+    R is (..., 3, 3), finite, orthonormal to ROTATION_TOL and det R > 0, and t
+    finite of shape R.shape[:-2] + (3,)
   * se(3) tangents are 6-vectors (v, w): translation first, rotation second
   * pixel coordinates are (u, v) = (column, row), pixel centers at integers
   * reproject is `backproject`, the separable R (xn Z, yn Z, Z) + t over `ray_grid`'s
@@ -98,10 +98,12 @@ def log(R: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     w is scipy's rotation vector of R, Rotation.from_matrix(R).as_rotvec(), which
     stays accurate up to pi, where an arccos of the trace does not. R is checked
-    first: DataError unless it is finite, orthonormal to ROTATION_TOL and det R > 0,
-    then t: DataError unless it is finite, of shape R.shape[:-2] + (3,).
+    first: DataError unless it is (..., 3, 3), finite, orthonormal to ROTATION_TOL
+    and det R > 0; then t: DataError unless it is finite, of shape R.shape[:-2] + (3,).
     """
     R = np.asarray(R, dtype=np.float64)
+    if R.shape[-2:] != (3, 3):
+        raise DataError(f"rotation matrices must be (..., 3, 3), got shape {R.shape}")
     # entries in [-1, 1] first (NaN fails too), so R^T R cannot warn on NaN, inf or overflow
     if not np.all(np.abs(R) <= 1 + ROTATION_TOL):
         raise DataError("rotation matrices must be finite, with entries in [-1, 1]")

@@ -24,6 +24,7 @@ import math
 import os
 import struct
 from collections import OrderedDict
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -598,7 +599,8 @@ def dump_providers(providers: Providers, directory: str | Path, frames: range | 
     before any file is written (else DataError).
     """
     if not (all(_integer_at_least(k, 0) for k in frames)
-            and all(len(e) == 2 and all(_integer_at_least(k, 0) for k in e) for e in edges)):
+            and all(isinstance(e, Sequence) and len(e) == 2
+                    and all(_integer_at_least(k, 0) for k in e) for e in edges)):
         raise DataError(f"frame indices {frames!r} and edges {edges!r} must be integers >= 0")
     directory = Path(directory)
     try:

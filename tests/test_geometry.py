@@ -100,6 +100,11 @@ class TestSE3:
         with pytest.raises(DataError, match=match):
             log(np.stack([np.eye(3), R]), np.stack([np.zeros_like(t), t]))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 4), (3,), ()], ids=str)
+    def test_log_rejects_a_rotation_of_the_wrong_shape(self, shape):
+        with pytest.raises(DataError, match="rotation"):
+            log(np.ones(shape), np.zeros(3))
+
     @pytest.mark.parametrize("gap", [1e-5, 1e-9])
     def test_log_near_pi_matches_expm_rotation(self, gap):
         # independent oracle: scipy's matrix exponential of w's twist matrix

@@ -799,9 +799,10 @@ def test_dump_providers_rejects_a_flow_that_is_not_two_h_w_2_arrays(tmp_path, ta
 
 @pytest.mark.parametrize("frames, edges", [([0, -1], []), ([0, True], []), ([0, 1.0], []),
                                             ([0], [(0, 1), (1, -1)]), ([0], [(0, 1), (0, 1, 2)]),
-                                            ([0], [(0, 1), (np.int64(2), False)])],
+                                            ([0], [(0, 1), (np.int64(2), False)]),
+                                            ([0], [(0, 1), 5])],
                          ids=["frame_-1", "frame_True", "frame_1.0", "edge_-1", "edge_of_3",
-                              "edge_False"])
+                              "edge_False", "edge_5"])
 def test_dump_providers_refuses_unreadable_indices_before_writing_any_file(tmp_path, frames,
                                                                             edges):
     # each list starts with an index that PrecomputedProviders could read
