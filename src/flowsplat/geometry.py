@@ -12,8 +12,10 @@ Conventions used everywhere in this package:
   * se(3) tangents are 6-vectors (v, w): translation first, rotation second
   * pixel coordinates are (u, v) = (column, row), pixel centers at integers
   * reproject is `backproject`, the separable R (xn Z, yn Z, Z) + t over `ray_grid`'s
-    (H, W) grid, then the pinhole projection; it takes a finite (3, 3) + (3,) (R, t)
-    row and finite depth Z > 0 on that grid, else DataError
+    (H, W) grid, then the pinhole projection, bit for bit; it builds the camera-frame Z
+    first, then X and Y one at a time, each projected in place into its (H, W, 2)
+    result, so besides the result at most two (H, W) planes are live. It takes a
+    finite (3, 3) + (3,) (R, t) row and finite depth Z > 0 on that grid, else DataError
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import ConfigError, DataError
 
 Z_MIN = 1e-4  # points closer than this to the image plane are flagged invalid
 ROTATION_TOL = 1e-6  # largest |R^T R - I| entry that log accepts
+SAFE_Z = 1e-300  # projection divides by this where |Z| is not larger; such points are invalid
+BOUND_EPS = 1e-9  # guards exact-boundary pixels against roundoff
 
 
 # each check tests the exact builtin types first: the numbers ABC test costs ~0.8 us a call
@@ -213,25 +217,34 @@ def ray_grid(intr: PinholeIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     return xn, yn
 
 
+def _component(z, R: np.ndarray, t: np.ndarray, grid: tuple[np.ndarray, np.ndarray], r: int):
+    """Row r of R (xn z, yn z, z) + t as one new array: (R[r,0] xn + R[r,1] yn + R[r,2]) z + t[r].
+
+    The bracket is a separable (W,) + (H, 1) sum, so no (H, W, 3) array is built;
+    numpy's temporary elision writes the product with z into the bracket's buffer.
+    """
+    xn, yn = grid
+    out = (R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z
+    out += t[r]
+    return out
+
+
 def backproject(z, R: np.ndarray, t: np.ndarray, grid: tuple[np.ndarray, np.ndarray]):
     """Components (X, Y, Z), each (H, W), of R (xn z, yn z, z) + t for (xn, yn) = grid.
 
-    grid is a `ray_grid` pair. X_r = (R[r,0] xn + R[r,1] yn + R[r,2]) z + t[r]:
-    the bracket is a separable (W,) + (H, 1) sum, so no (H, W, 3) array is built.
+    grid is a `ray_grid` pair; each component is one `_component` row.
     """
-    xn, yn = grid
-    return tuple((R[r, 0] * xn + R[r, 1] * yn + R[r, 2]) * z + t[r] for r in range(3))
+    return tuple(_component(z, R, t, grid, r) for r in range(3))
 
 
 def _project_components(x, y, z, intr: PinholeIntrinsics):
     """Pinhole projection of camera-frame coordinates given as three arrays."""
-    safe_z = np.where(np.abs(z) > 1e-300, z, 1e-300)
+    safe_z = np.where(np.abs(z) > SAFE_Z, z, SAFE_Z)
     u = intr.fx * x / safe_z + intr.cx
     v = intr.fy * y / safe_z + intr.cy
     pixels = np.stack([u, v], axis=-1)
-    eps = 1e-9  # guards exact-boundary pixels against roundoff
-    valid = ((z > Z_MIN) & (u >= -eps) & (u <= intr.width + eps)
-             & (v >= -eps) & (v <= intr.height + eps))
+    valid = ((z > Z_MIN) & (u >= -BOUND_EPS) & (u <= intr.width + BOUND_EPS)
+             & (v >= -BOUND_EPS) & (v <= intr.height + BOUND_EPS))
     return pixels, valid
 
 
@@ -250,8 +263,8 @@ def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntr
 
     depth is the finite, strictly positive (H, W) depth Z of every pixel center on
     `ray_grid`; the finite (3, 3) + (3,) pose (R, t) maps source-camera coords into
-    the target camera (else DataError). Returns (correspondences (H, W, 2), valid mask (H, W)).
-    The transform is `backproject`'s, so no (H, W, 3) array is built.
+    the target camera (else DataError). Returns (correspondences (H, W, 2), valid mask (H, W)),
+    the values of `_project_components(*backproject(depth, R, t, ray_grid(intr)), intr)`.
     """
     R, t = np.asarray(R, dtype=np.float64), np.asarray(t, dtype=np.float64)
     # shapes first; math.isfinite over tolist takes about 1 us, a third of np.isfinite twice
@@ -264,4 +277,19 @@ def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntr
     if z.shape != (intr.height, intr.width) or not (0 < z.min() and z.max() < math.inf):
         raise DataError(f"reproject needs finite, positive depth of shape "
                         f"{(intr.height, intr.width)}, got shape {z.shape}")
-    return _project_components(*backproject(z, R, t, ray_grid(intr)), intr)
+    # Z first, then X and Y one at a time, each projected in place and copied into pixels
+    grid = ray_grid(intr)
+    Z = _component(z, R, t, grid, 2)
+    valid = Z > Z_MIN
+    Z[~(np.abs(Z) > SAFE_Z)] = SAFE_Z
+    pixels = np.empty(z.shape + (2,))
+    for r, f, c, size in ((0, intr.fx, intr.cx, intr.width), (1, intr.fy, intr.cy, intr.height)):
+        coord = _component(z, R, t, grid, r)
+        coord *= f
+        coord /= Z
+        coord += c
+        valid &= coord >= -BOUND_EPS
+        valid &= coord <= size + BOUND_EPS
+        pixels[..., r] = coord
+        del coord  # freed before the next row is built
+    return pixels, valid

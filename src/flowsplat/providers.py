@@ -5,8 +5,7 @@ implementations:
 
   * SyntheticProviders - exact oracles backed by an analytic ray-cast scene,
     with configurable noise; every quantity they emit is verifiable against
-    the scene's ground truth. On large images each edge's pixel-noise draw
-    runs on one worker thread while the calling thread does the geometry.
+    the scene's ground truth.
   * PrecomputedProviders - reads tensors produced offline (by a real network
     stack) from disk in the DSPT binary format documented below.
 
@@ -25,7 +24,6 @@ import os
 import struct
 from collections import OrderedDict
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -48,14 +46,6 @@ PRIOR_FLOOR = 1e-6  # least disparity that a depth prior hands out
 DEPTH_CACHE_FRAMES = 8  # SyntheticScene.depth keeps this many frames (0.6 MB each at 240x320)
 CONE_MARGIN = 1e-6  # rad; the view-cone cull keeps occluders this close to the cone
 TEXTURE_FREQ = 2.5  # spatial frequency of the outer sphere's texture
-# Noise values per edge from which SyntheticProviders draws them on its worker.
-# Handing a draw to the worker and back costs about 70 us. Per edge, inline vs
-# worker (timeit, min of 5 x 20 calls, 2-vCPU VM): 48x64 (6144 values) 240 vs
-# 238 us, the break-even; 64x96 (12288) 412 vs 330 us; 128x160 (40960) 1388
-# vs 971 us; 240x320 (153600) 4864 vs 3130 us. The threshold sits about 5x
-# above the break-even, so a second core busy with other work does not make
-# small edges slower.
-NOISE_THREAD_MIN = 1 << 15
 
 
 @dataclass
@@ -154,14 +144,23 @@ def _look_at_c2w(forwards: np.ndarray) -> np.ndarray:
     """Camera-to-world rotations (N, 3, 3) of cameras looking along forwards (N, 3).
 
     Columns are right, down and forward, with right = forward x z-up; a
-    vertical forward takes y as the up vector instead.
+    vertical forward takes y as the up vector instead. The cross products are
+    written out in np.cross's term order, a product with 1 left out, so the
+    rotations equal np.cross's bit for bit, signed zeros included, at a
+    fraction of its per-call cost.
     """
     f = forwards / np.linalg.norm(forwards, axis=-1, keepdims=True)
-    r = np.cross(f, (0.0, 0.0, 1.0))
+    f0, f1, f2 = f[:, 0], f[:, 1], f[:, 2]
+    r = np.stack([f1 - f2 * 0.0, f2 * 0.0 - f0, f0 * 0.0 - f1 * 0.0], axis=-1)  # f x (0, 0, 1)
     vertical = np.linalg.norm(r, axis=-1) < 1e-8
-    r[vertical] = np.cross(f[vertical], (0.0, 1.0, 0.0))
+    if vertical.any():
+        v0, v1, v2 = f0[vertical], f1[vertical], f2[vertical]
+        r[vertical] = np.stack([v1 * 0.0 - v2, v2 * 0.0 - v0 * 0.0, v0 - v1 * 0.0],
+                               axis=-1)  # f x (0, 1, 0)
     r /= np.linalg.norm(r, axis=-1, keepdims=True)
-    return np.stack([r, np.cross(f, r), f], axis=-1)
+    r0, r1, r2 = r[:, 0], r[:, 1], r[:, 2]
+    down = np.stack([f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0], axis=-1)
+    return np.stack([r, down, f], axis=-1)
 
 
 class SyntheticScene:
@@ -407,28 +406,10 @@ class SyntheticScene:
 # ---------------------------------------------------------------------------
 
 class SyntheticProviders:
-    """Oracle implementations of all three provider roles for one scene.
-
-    An edge with at least NOISE_THREAD_MIN pixel-noise values submits its
-    normal draw to a single worker thread before any geometry, composes,
-    reprojects and tests visibility on the calling thread, then waits for the
-    draw and adds the noise. numpy's Generator releases the GIL while it fills
-    an array, so the two overlap; the draw reads the same (seed, 31, i, j)
-    stream as an inline one, so targets are bit-identical either way. Only the
-    draw runs there. It shares nothing: the worker touches its own Generator
-    and the buffer the caller allocated, never the scene or its depth cache.
-    Visibility and depth stay on the calling thread: their many short numpy
-    calls hold the GIL, so they would overlap little, and they read and fill
-    the depth cache. Smaller edges draw inline, where the handoff costs more
-    than the draw hides.
-
-    The worker starts at the first offloaded draw, never at construction, and
-    ends when the provider is dropped, through the executor's weakref callback.
-    """
+    """Oracle implementations of all three provider roles for one scene."""
 
     def __init__(self, scene: SyntheticScene):
         self.scene = scene
-        self._noise_pool: ThreadPoolExecutor | None = None
 
     def provide_correspondences(self, i: int, j: int, snapshot=None) -> CorrespondenceUpdate:
         """Ground-truth reprojection targets i -> j with configured pixel noise.
@@ -438,29 +419,15 @@ class SyntheticProviders:
         """
         scene = self.scene
         R, t = scene.relative_pose(i, j)  # checks i and j before they seed the noise stream
+        target, valid = reproject(scene.depth(i), R, t, scene.intrinsics)
+        weight = np.empty(target.shape)
+        # one pass: a (1 + 1j) per seen pixel is a 1 in both of its channels; at 240x320
+        # this took 89 us against 326 us for two column writes (timeit, 2-vCPU VM)
+        np.multiply(valid & scene.visible_from(j, i), 1 + 1j, out=_channel_pairs(weight)[..., 0])
         sigma = scene.spec.pixel_noise
-        drawn = None
         if sigma > 0:
-            noise = np.empty((scene.spec.height, scene.spec.width, 2))
             rng = np.random.default_rng(np.random.SeedSequence([scene.spec.seed, 31, i, j]))
-            if noise.size >= NOISE_THREAD_MIN:
-                if self._noise_pool is None:
-                    self._noise_pool = ThreadPoolExecutor(max_workers=1,
-                                                          thread_name_prefix="flowsplat-noise")
-                drawn = self._noise_pool.submit(rng.standard_normal, out=noise)
-            else:
-                rng.standard_normal(out=noise)
-        try:
-            target, valid = reproject(scene.depth(i), R, t, scene.intrinsics)
-            seen = valid & scene.visible_from(j, i)
-            # two column writes: a broadcast bool -> float assignment is about 3x slower
-            weight = np.empty(target.shape)
-            weight[..., 0] = seen
-            weight[..., 1] = weight[..., 0]
-        finally:
-            if drawn is not None:
-                drawn.result()  # the worker never writes into noise after this returns
-        if sigma > 0:
+            noise = rng.standard_normal(target.shape)
             noise *= sigma
             target += noise
         return CorrespondenceUpdate((i, j), target, weight)

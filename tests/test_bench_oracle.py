@@ -4,9 +4,8 @@ The oracle reads the scene through `pose_c2w(k).matrix()`, `depth`,
 `prior_affine` and `intrinsics`. It is loaded read-only from its file and run
 on the traffic of the benchmark's `tiny_graph` workload (48x64 scenes on its
 seeds, window +-4) and on one keyframe of `qvga_window` (240x320 orbit, window
-+-2, large enough that the pixel noise is drawn on the worker thread), so a
-change to those or to the providers that breaks the benchmark's checks fails
-here too, not only in the benchmark's own suite.
++-2), so a change to those or to the providers that breaks the benchmark's
+checks fails here too, not only in the benchmark's own suite.
 """
 
 import importlib.util

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowsplat.errors import ConfigError, DataError
-from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, act, compose, exp, inverse, log,
-                                project, ray_grid, reproject)
+from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, _project_components, act,
+                                backproject, compose, exp, inverse, log, project, ray_grid,
+                                reproject)
 
 RNG = np.random.default_rng(7)
 
@@ -372,3 +373,27 @@ def test_batched_ops_equal_single_pose_calls_row_for_row(xa, xb, points):
         Rab, tab = batched["compose"]
         assert np.array_equal(ab.rotation, Rab[k]) and np.array_equal(ab.trans, tab[k])
         assert np.array_equal(a.apply(p[k]), batched["act"][0][k])
+
+
+def assert_reproject_is_backproject_then_project_byte_for_byte(depth, R, t, intr):
+    corr, ok = reproject(depth, R, t, intr)
+    ref, ref_ok = _project_components(*backproject(depth, R, t, ray_grid(intr)), intr)
+    assert corr.tobytes() == ref.tobytes()
+    assert ok.tobytes() == ref_ok.tobytes()
+
+
+@PROPERTY
+@given(arrays(np.float64, 6, elements=st.floats(-4, 4)), st.integers(0, 2**32 - 1))
+def test_in_place_reproject_equals_backproject_then_project_byte_for_byte(xi, seed):
+    # translations up to 4 against depths from 0.2 put many points behind the camera
+    intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
+    depth = np.random.default_rng(seed).uniform(0.2, 5.0, size=(30, 32))
+    assert_reproject_is_backproject_then_project_byte_for_byte(depth, *exp(xi), intr)
+
+
+def test_in_place_reproject_equals_backproject_then_project_at_z_zero():
+    # R = I and t = (0, 0, -z0) at constant depth z0 put every point on Z = 0 exactly
+    intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
+    depth, t = np.full((30, 32), 2.0), np.array([0.0, 0.0, -2.0])
+    assert not backproject(depth, np.eye(3), t, ray_grid(intr))[2].any()
+    assert_reproject_is_backproject_then_project_byte_for_byte(depth, np.eye(3), t, intr)
