@@ -6,7 +6,7 @@ class FlowSplatError(Exception):
 
 
 class ConfigError(FlowSplatError):
-    """Invalid configuration value, unknown key or inconsistent mode/data pairing."""
+    """Invalid configuration value (a scene spec, intrinsics or similar setting)."""
 
 
 class DataError(FlowSplatError):

@@ -9,13 +9,14 @@ Conventions used everywhere in this package:
     scipy's Rotation.from_matrix(...).as_rotvec(), and raises DataError unless
     R is (..., 3, 3), finite, orthonormal to ROTATION_TOL and det R > 0, and t
     finite of shape R.shape[:-2] + (3,)
-  * se(3) tangents are 6-vectors (v, w): translation first, rotation second
+  * se(3) tangents are 6-vectors (v, w): translation first, rotation second; exp
+    raises DataError unless its twists are finite and (..., 6)
   * pixel coordinates are (u, v) = (column, row), pixel centers at integers
-  * reproject is `backproject`, the separable R (xn Z, yn Z, Z) + t over `ray_grid`'s
-    (H, W) grid, then the pinhole projection, bit for bit; it builds the camera-frame Z
-    first, then X and Y one at a time, each projected in place into its (H, W, 2)
-    result, so besides the result at most two (H, W) planes are live. It takes a
-    finite (3, 3) + (3,) (R, t) row and finite depth Z > 0 on that grid, else DataError
+  * `_pinhole` is the one projection: given Z, it builds X and then Y, each projected in
+    place. project feeds it copies of its point columns, reproject `_component` rows of
+    the separable R (xn Z, yn Z, Z) + t over `ray_grid`'s (H, W) grid, so besides the
+    result at most two (H, W) planes are live. reproject takes a finite (3, 3) + (3,)
+    (R, t) row and finite depth Z > 0 on that grid, else DataError
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import ConfigError, DataError
 
 Z_MIN = 1e-4  # points closer than this to the image plane are flagged invalid
 ROTATION_TOL = 1e-6  # largest |R^T R - I| entry that log accepts
-SAFE_Z = 1e-300  # projection divides by this where |Z| is not larger; such points are invalid
-BOUND_EPS = 1e-9  # guards exact-boundary pixels against roundoff
+SAFE_Z = 1e-300  # `_pinhole` divides by this where |Z| is not larger; such points are invalid
+BOUND_EPS = 1e-9  # `_pinhole`'s slack at the image bounds, so exact-boundary pixels stay valid
 
 
 # each check tests the exact builtin types first: the numbers ABC test costs ~0.8 us a call
@@ -77,9 +78,11 @@ def exp(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     R = I + A W + B W^2 (Rodrigues) and t = V v with V = I + B W + C W^2,
     where W = hat(w), A = sin(theta) / theta, B = (1 - cos(theta)) / theta^2
-    and C = (theta - sin(theta)) / theta^3.
+    and C = (theta - sin(theta)) / theta^3. DataError unless xi is finite and (..., 6).
     """
     xi = np.asarray(xi, dtype=np.float64)
+    if xi.shape[-1:] != (6,) or not np.isfinite(xi).all():
+        raise DataError(f"exp needs finite (..., 6) twists, got shape {xi.shape}")
     v, w = xi[..., :3], xi[..., 3:]
     theta = _angle(w)
     small = theta < 1e-4  # below this, each series' next term is under 1e-18
@@ -237,25 +240,36 @@ def backproject(z, R: np.ndarray, t: np.ndarray, grid: tuple[np.ndarray, np.ndar
     return tuple(_component(z, R, t, grid, r) for r in range(3))
 
 
-def _project_components(x, y, z, intr: PinholeIntrinsics):
-    """Pinhole projection of camera-frame coordinates given as three arrays."""
-    safe_z = np.where(np.abs(z) > SAFE_Z, z, SAFE_Z)
-    u = intr.fx * x / safe_z + intr.cx
-    v = intr.fy * y / safe_z + intr.cy
-    pixels = np.stack([u, v], axis=-1)
-    valid = ((z > Z_MIN) & (u >= -BOUND_EPS) & (u <= intr.width + BOUND_EPS)
-             & (v >= -BOUND_EPS) & (v <= intr.height + BOUND_EPS))
+def _pinhole(Z: np.ndarray, row, intr: PinholeIntrinsics):
+    """Pinhole projection (pixels (..., 2), valid (...,)) of camera-frame Z, X = row(0), Y = row(1).
+
+    Overwrites Z and each row, which is projected in place and freed before the next is built.
+    """
+    valid = Z > Z_MIN
+    Z[~(np.abs(Z) > SAFE_Z)] = SAFE_Z
+    pixels = np.empty(Z.shape + (2,))
+    for r, f, c, size in ((0, intr.fx, intr.cx, intr.width), (1, intr.fy, intr.cy, intr.height)):
+        coord = row(r)
+        coord *= f
+        coord /= Z
+        coord += c
+        valid &= coord >= -BOUND_EPS
+        valid &= coord <= size + BOUND_EPS
+        pixels[..., r] = coord
+        del coord  # freed before the next row is built
     return pixels, valid
 
 
 def project(points: np.ndarray, intr: PinholeIntrinsics):
-    """Pinhole projection of (..., 3) camera-frame points.
+    """Pinhole projection of finite (..., 3) camera-frame points, else DataError.
 
     Returns (pixels (..., 2), valid (...,)). Points behind the Z_MIN plane or
-    landing outside the image bounds are flagged invalid, never raised on.
+    landing outside the image bounds are flagged invalid, not raised on.
     """
     points = np.asarray(points, dtype=np.float64)
-    return _project_components(points[..., 0], points[..., 1], points[..., 2], intr)
+    if points.shape[-1:] != (3,) or not np.isfinite(points).all():
+        raise DataError(f"project needs finite (..., 3) points, got shape {points.shape}")
+    return _pinhole(points[..., 2].copy(), lambda r: points[..., r].copy(), intr)
 
 
 def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntrinsics):
@@ -264,7 +278,7 @@ def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntr
     depth is the finite, strictly positive (H, W) depth Z of every pixel center on
     `ray_grid`; the finite (3, 3) + (3,) pose (R, t) maps source-camera coords into
     the target camera (else DataError). Returns (correspondences (H, W, 2), valid mask (H, W)),
-    the values of `_project_components(*backproject(depth, R, t, ray_grid(intr)), intr)`.
+    `_pinhole` of `backproject(depth, R, t, ray_grid(intr))`, each row built when asked for.
     """
     R, t = np.asarray(R, dtype=np.float64), np.asarray(t, dtype=np.float64)
     # shapes first; math.isfinite over tolist takes about 1 us, a third of np.isfinite twice
@@ -277,19 +291,5 @@ def reproject(depth: np.ndarray, R: np.ndarray, t: np.ndarray, intr: PinholeIntr
     if z.shape != (intr.height, intr.width) or not (0 < z.min() and z.max() < math.inf):
         raise DataError(f"reproject needs finite, positive depth of shape "
                         f"{(intr.height, intr.width)}, got shape {z.shape}")
-    # Z first, then X and Y one at a time, each projected in place and copied into pixels
     grid = ray_grid(intr)
-    Z = _component(z, R, t, grid, 2)
-    valid = Z > Z_MIN
-    Z[~(np.abs(Z) > SAFE_Z)] = SAFE_Z
-    pixels = np.empty(z.shape + (2,))
-    for r, f, c, size in ((0, intr.fx, intr.cx, intr.width), (1, intr.fy, intr.cy, intr.height)):
-        coord = _component(z, R, t, grid, r)
-        coord *= f
-        coord /= Z
-        coord += c
-        valid &= coord >= -BOUND_EPS
-        valid &= coord <= size + BOUND_EPS
-        pixels[..., r] = coord
-        del coord  # freed before the next row is built
-    return pixels, valid
+    return _pinhole(_component(z, R, t, grid, 2), lambda r: _component(z, R, t, grid, r), intr)

@@ -23,7 +23,7 @@ import math
 import os
 import struct
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -478,6 +478,8 @@ def write_dspt(path: str | Path, array: np.ndarray) -> None:
         array = array[..., None]
     if array.ndim != 3:
         raise DataError(f"DSPT arrays must be (H, W, C), got shape {array.shape}")
+    if 0 in array.shape:  # read_dspt refuses an empty tensor, so none is written
+        raise DataError(f"{path}: empty DSPT tensor, shape {array.shape}")
     array = np.ascontiguousarray(array, dtype="<f4")  # no copy for C-ordered float32
     try:
         with open(path, "wb") as fh:
@@ -558,13 +560,14 @@ class PrecomputedProviders:
         return PlaceFeature(vec / n, k)
 
 
-def dump_providers(providers: Providers, directory: str | Path, frames: range | list,
-                   edges: list[tuple[int, int]]) -> None:
+def dump_providers(providers: Providers, directory: str | Path, frames: Iterable[int],
+                   edges: Iterable[tuple[int, int]]) -> None:
     """Write provider outputs as DSPT files usable by PrecomputedProviders.
 
-    Every frame and edge index is checked as PrecomputedProviders reads it,
-    before any file is written (else DataError).
+    frames and edges are read once, so iterators work. Every frame and edge index
+    is checked as PrecomputedProviders reads it, before any file is written (else DataError).
     """
+    frames, edges = list(frames), list(edges)
     if not (all(_integer_at_least(k, 0) for k in frames)
             and all(isinstance(e, Sequence) and len(e) == 2
                     and all(_integer_at_least(k, 0) for k in e) for e in edges)):

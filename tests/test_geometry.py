@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowsplat.errors import ConfigError, DataError
-from flowsplat.geometry import (PinholeIntrinsics, SE3Pose, _project_components, act,
-                                backproject, compose, exp, inverse, log, project, ray_grid,
-                                reproject)
+from flowsplat.geometry import (BOUND_EPS, SAFE_Z, Z_MIN, PinholeIntrinsics, SE3Pose, act,
+                                backproject, compose, exp, heuristic_intrinsics, inverse, log,
+                                project, ray_grid, reproject)
 
 RNG = np.random.default_rng(7)
 
@@ -39,6 +39,14 @@ class TestSE3:
         R, t = exp(np.zeros(6))
         assert np.allclose(R, np.eye(3))
         assert np.allclose(t, 0)
+
+    @pytest.mark.parametrize("xi", [np.zeros(7), np.zeros(5), np.array(0.0), np.zeros((2, 7)),
+                                    np.array([0.0, 0, 0, np.nan, 0, 0]),
+                                    np.array([[0.0] * 6, [0, 0, np.inf, 0, 0, 0]])],
+                             ids=["of_7", "of_5", "0-d", "2x7", "nan", "inf_row"])
+    def test_exp_rejects_a_twist_that_is_not_finite_and_6_wide(self, xi):
+        with pytest.raises(DataError, match=r"finite \(\.\.\., 6\) twists"):
+            exp(xi)
 
     def test_exp_pure_yaw_pi(self):
         R, t = exp(np.array([0, 0, 0, 0, 0, np.pi]))
@@ -154,6 +162,33 @@ class TestRotationAngle:
             assert dab <= dac + dcb + 1e-9
 
 
+def sample_points(shape):
+    """Points with x, y in [-2, 2], so some land off the image, and Z in [-1, 3], every third 0."""
+    rng = np.random.default_rng(len(shape))
+    points = rng.uniform(-2.0, 2.0, size=shape)
+    points[..., 2] = rng.uniform(-1.0, 3.0, size=shape[:-1])
+    points.reshape(-1, 3)[::3, 2] = 0.0
+    return points
+
+
+def _project_components(x, y, z, intr: PinholeIntrinsics):
+    """Pinhole projection of camera-frame coordinates given as three arrays."""
+    safe_z = np.where(np.abs(z) > SAFE_Z, z, SAFE_Z)
+    u = intr.fx * x / safe_z + intr.cx
+    v = intr.fy * y / safe_z + intr.cy
+    pixels = np.stack([u, v], axis=-1)
+    valid = ((z > Z_MIN) & (u >= -BOUND_EPS) & (u <= intr.width + BOUND_EPS)
+             & (v >= -BOUND_EPS) & (v <= intr.height + BOUND_EPS))
+    return pixels, valid
+
+
+def assert_equals_the_out_of_place_projection(result, x, y, z, intr):
+    """result is `_project_components(x, y, z, intr)`: same types, shapes and bytes."""
+    for got, want in zip(result, _project_components(x, y, z, intr), strict=True):
+        assert type(got) is type(want) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestPinhole:
     def test_optical_axis(self):
         px, ok = project(np.array([0.0, 0, 1]), intr_100())
@@ -172,6 +207,27 @@ class TestPinhole:
     def test_out_of_bounds_flagged(self):
         _, ok = project(np.array([5.0, 0, 1]), intr_100())
         assert not ok
+
+    @pytest.mark.parametrize("points", [np.array([0.0, 0, 1, 7]), np.array([0.0, 1]),
+                                        np.array(1.0), np.zeros((3, 2)),
+                                        np.array([0.0, np.nan, 1]),
+                                        np.array([[0.0, 0, 1], [-np.inf, 0, 1]])],
+                             ids=["of_4", "of_2", "0-d", "3x2", "nan", "inf_row"])
+    def test_rejects_points_that_are_not_finite_and_3_wide(self, points):
+        with pytest.raises(DataError, match=r"finite \(\.\.\., 3\) points"):
+            project(points, intr_100())
+
+    @pytest.mark.parametrize("points", [
+        np.array([0.0, 0, 1]), np.array([0.5, -0.25, 2]), np.array([0.0, 0, -1]),
+        np.array([0.5, 0, 0]), np.array([5.0, 0, 1]), sample_points((7, 3)),
+        sample_points((5, 4, 3)), sample_points((30, 32, 3)),
+    ], ids=["axis", "in_view", "behind", "z_0", "off_image", "7x3", "5x4x3", "30x32x3"])
+    def test_equals_the_out_of_place_projection_byte_for_byte(self, points):
+        intr = PinholeIntrinsics(40.0, 44.0, 17.5, 13.0, 32, 30)
+        before = points.copy()
+        assert_equals_the_out_of_place_projection(
+            project(points, intr), points[..., 0], points[..., 1], points[..., 2], intr)
+        assert points.tobytes() == before.tobytes()  # the kernel projects copies in place
 
 
 class TestReproject:
@@ -275,6 +331,14 @@ def test_intrinsics_invariants():
         PinholeIntrinsics(100.0, 100.0, 120.0, 50.0, 100, 100)
 
 
+def test_heuristic_intrinsics_take_the_mean_side_as_focal_and_center_the_principal_point():
+    intr = heuristic_intrinsics(64, 48)
+    assert (intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height) == (56, 56, 32, 24, 64, 48)
+    for size in ((0, 48), (64, 0), (True, 48), (64, False)):
+        with pytest.raises(ConfigError):
+            heuristic_intrinsics(*size)
+
+
 @pytest.mark.parametrize("field, value", [
     ("fx", np.inf), ("fy", np.inf), ("fx", np.nan), ("width", 100.5), ("width", 100.0),
     ("height", True), ("width", 0), ("height", -100), ("fx", "a"), ("cx", None),
@@ -376,10 +440,8 @@ def test_batched_ops_equal_single_pose_calls_row_for_row(xa, xb, points):
 
 
 def assert_reproject_is_backproject_then_project_byte_for_byte(depth, R, t, intr):
-    corr, ok = reproject(depth, R, t, intr)
-    ref, ref_ok = _project_components(*backproject(depth, R, t, ray_grid(intr)), intr)
-    assert corr.tobytes() == ref.tobytes()
-    assert ok.tobytes() == ref_ok.tobytes()
+    assert_equals_the_out_of_place_projection(
+        reproject(depth, R, t, intr), *backproject(depth, R, t, ray_grid(intr)), intr)
 
 
 @PROPERTY

@@ -603,7 +603,7 @@ def test_precomputed_rejects_multichannel_or_non_finite_prior(tmp_path, prior):
 
 @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0)])
 def test_read_dspt_rejects_empty_dimension(tmp_path, shape):
-    write_dspt(tmp_path / "empty.dspt", np.zeros(shape))
+    write_raw_dspt(tmp_path / "empty.dspt", np.zeros(shape))  # write_dspt refuses to write it
     with pytest.raises(DataError):
         read_dspt(tmp_path / "empty.dspt")
 
@@ -655,12 +655,15 @@ def test_write_dspt_raises_data_error_on_an_unwritable_path(tmp_path):
         dump_providers(synthetic, tmp_path / "file" / "sub", [3], [])
 
 
-@pytest.mark.parametrize("array", [np.array([["a", "b"]]), np.ones((2, 3), dtype=complex),
-                                   np.array([[None, 1.0]]),
-                                   np.zeros((2, 3), dtype="datetime64[s]")],
-                         ids=["str", "complex", "object", "datetime"])
-def test_write_dspt_rejects_a_non_real_dtype(tmp_path, array):
-    with pytest.raises(DataError, match="real numbers"):
+@pytest.mark.parametrize("array, match", [
+    (np.array([["a", "b"]]), "real numbers"), (np.ones((2, 3), dtype=complex), "real numbers"),
+    (np.array([[None, 1.0]]), "real numbers"),
+    (np.zeros((2, 3), dtype="datetime64[s]"), "real numbers"),
+    (np.zeros((0, 3, 1)), "empty"), (np.zeros((2, 0)), "empty"),
+], ids=["str", "complex", "object", "datetime", "empty_0x3x1", "empty_2x0"])
+def test_write_dspt_rejects_a_non_real_dtype(tmp_path, array, match):
+    # an empty tensor is refused too, since read_dspt would refuse the file
+    with pytest.raises(DataError, match=match):
         write_dspt(tmp_path / "x.dspt", array)
     assert not (tmp_path / "x.dspt").exists()
 
@@ -810,6 +813,17 @@ def test_dump_providers_refuses_unreadable_indices_before_writing_any_file(tmp_p
     with pytest.raises(DataError, match="must be integers >= 0"):
         dump_providers(fixed, tmp_path, frames, edges)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_providers_writes_the_same_files_from_iterators_as_from_lists(tmp_path):
+    fixed = FixedProviders(np.zeros((2, 3, 2)), np.ones((2, 3, 2)), np.ones((2, 3)), np.ones(4))
+    dump_providers(fixed, tmp_path / "lists", [3], [(3, 4)])
+    dump_providers(fixed, tmp_path / "iterators", iter([3]), (e for e in [(3, 4)]))
+    files = {d: {f.name: f.read_bytes() for f in (tmp_path / d).iterdir()}
+             for d in ("lists", "iterators")}
+    assert sorted(files["lists"]) == ["feat_000003.dspt", "flow_000003_000004.dspt",
+                                      "prior_000003.dspt"]
+    assert files["iterators"] == files["lists"]
 
 
 @pytest.mark.parametrize("delivery", [None, SimpleNamespace(target=np.zeros((2, 3, 2))),
